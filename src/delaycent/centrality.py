@@ -13,28 +13,23 @@ applied through :func:`delaycent.spectral.kernel`.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graph import GraphMatrices, build_matrices, scale_weights
-from .report import CentralityReport, make_report, order_sign
+from .graph import GraphError, GraphMatrices
+from .report import CentralityReport, make_report
 from .spectral import (
     SpectralDecomposition,
     SpectralKernel,
     StabilityError,
     StabilityInfo,
     decompose,
-    edge_quadratic_form,
     kernel,
     stability_margin,
 )
-
-THREADS_ENV_VAR = "DELAYCENT_THREADS"
 
 
 class StructureTag(Enum):
@@ -205,11 +200,60 @@ def performance(gm: GraphMatrices, spec: NoiseSpec, tau: float) -> float:
     return float(power[dec.zero_mode_count :] @ per_mode)
 
 
-def _generic_indices(dec: SpectralDecomposition, b: np.ndarray, tau: float) -> np.ndarray:
-    """(1/2) diag(B^T K B) without forming K: modal sums over nonzero modes."""
-    k = centrality_kernel(dec, tau)
-    modal = dec.eigenvectors.T @ b
-    return 0.5 * ((modal**2) * k.values[:, None]).sum(axis=0)
+def _edge_forms(gm: GraphMatrices, k: np.ndarray) -> np.ndarray:
+    """:func:`edge_quadratic_form` of ``k`` over every edge, in canonical edge order."""
+    i, j = np.array(gm.graph.edge_pairs(), dtype=np.intp).reshape(-1, 2).T
+    diag = np.diagonal(k)
+    return diag[i] + diag[j] - 2.0 * k[i, j]
+
+
+def _modal_power(
+    gm: GraphMatrices, dec: SpectralDecomposition, structure: NoiseStructure, alpha: float
+) -> np.ndarray:
+    """``(Q^T B)^2`` over the nonzero modes, one row per noise channel, with
+    every weight scaled by ``alpha``.  Built-in structures need no dense B:
+    column i of ``Q^T B`` is row i of Q times 1, lam, d_i or d_i - lam (A = D - L)."""
+    q = dec.eigenvectors[:, dec.zero_mode_count :]
+    tag = structure.tag
+    if tag is StructureTag.CUSTOM:
+        return (input_matrix(gm, structure).T @ q) ** 2
+    if tag is StructureTag.DYNAMICS:
+        return q**2
+    lam = dec.nonzero_eigenvalues()
+    if tag is StructureTag.SENSOR:
+        return (q * lam) ** 2
+    degrees = alpha * np.diag(gm.degree_diag)[:, None]
+    if tag is StructureTag.RECEIVER:
+        return (degrees * q) ** 2
+    return (q * (degrees - lam)) ** 2
+
+
+def _reports(
+    gm: GraphMatrices,
+    dec: SpectralDecomposition,
+    structure: NoiseStructure,
+    taus: Sequence[float],
+    alpha: float = 1.0,
+) -> list[CentralityReport]:
+    """Centrality at each delay from one decomposition ``dec`` of the graph
+    with every weight scaled by ``alpha``; all delays are checked first.
+    Built-in link structures gather ``K_ii + K_jj - 2 K_ij`` from the n x n
+    kernel of each delay; all others contract ``(1/2) (Q^T B)^2 g``."""
+    infos = [stability_margin(dec, t) for t in taus]
+    for t, info in zip(taus, infos):
+        if not info.stable:
+            raise StabilityError(t, info.tau_max)
+    if structure.tag in _LINK_TAGS:
+        comm = structure.tag is StructureTag.COMM_CHANNEL
+        scale = 0.5 * (alpha * gm.graph.weights() if comm else 1.0) ** 2
+        indices = lambda tau: scale * _edge_forms(gm, centrality_kernel(dec, tau).matrix)
+    else:
+        power, z = _modal_power(gm, dec, structure, alpha), dec.zero_mode_count
+        indices = lambda tau: 0.5 * (power @ centrality_kernel(dec, tau).values[z:])
+    return [
+        make_report(t, structure.name, indices(t), info.tau_max, info.margin)
+        for t, info in zip(taus, infos)
+    ]
 
 
 def node_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
@@ -218,27 +262,7 @@ def node_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) ->
         raise ValueError(
             f"node centrality needs an agent-indexed structure, got {structure.name}"
         )
-    dec, info = _stable_decomposition(gm, tau)
-    tag = structure.tag
-    if tag is StructureTag.DYNAMICS:
-        eta = 0.5 * centrality_kernel(dec, tau).diagonal()
-    elif tag is StructureTag.SENSOR:
-        # L cos(tau L)(M_n - sin(tau L))^+ has diagonal lam * cos / (1 - sin).
-        sensor_kernel = kernel(
-            dec, lambda lam: lam * np.cos(tau * lam) / (1.0 - np.sin(tau * lam))
-        )
-        eta = 0.5 * sensor_kernel.diagonal()
-    elif tag is StructureTag.RECEIVER:
-        degrees = np.diag(gm.degree_diag)
-        eta = 0.5 * degrees**2 * centrality_kernel(dec, tau).diagonal()
-    else:
-        # Emitter and custom-over-nodes use the generic quadratic form; the
-        # single-matrix emitter shortcut one might derive by cyclic trace
-        # shuffling drops half the cross term (see
-        # emitter_display_diagnostic), so the generic form is the one we
-        # trust.
-        eta = _generic_indices(dec, input_matrix(gm, structure), tau)
-    return make_report(tau, structure.name, eta, info.tau_max, info.margin)
+    return _reports(gm, decompose(gm.laplacian, require_connected=True), structure, [tau])[0]
 
 
 def link_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
@@ -247,18 +271,7 @@ def link_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) ->
         raise ValueError(
             f"link centrality needs a link-indexed structure, got {structure.name}"
         )
-    dec, info = _stable_decomposition(gm, tau)
-    if structure.tag is StructureTag.CUSTOM:
-        nu = _generic_indices(dec, input_matrix(gm, structure), tau)
-    else:
-        k = centrality_kernel(dec, tau)
-        weights = gm.graph.weights()
-        forms = np.array([edge_quadratic_form(k, (i, j)) for i, j in gm.graph.edge_pairs()])
-        if structure.tag is StructureTag.COMM_CHANNEL:
-            nu = 0.5 * weights**2 * forms
-        else:
-            nu = 0.5 * forms
-    return make_report(tau, structure.name, nu, info.tau_max, info.margin)
+    return _reports(gm, decompose(gm.laplacian, require_connected=True), structure, [tau])[0]
 
 
 def centrality_report(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
@@ -284,31 +297,30 @@ def link_sensitivity(gm: GraphMatrices, structure: NoiseStructure, tau: float) -
         raise ValueError(
             f"link sensitivity is defined for dynamics and sensor noise, got {structure.name}"
         )
-    k = kernel(dec, g)
-    return np.array(
-        [0.5 * edge_quadratic_form(k, (i, j)) for i, j in gm.graph.edge_pairs()]
-    )
+    return 0.5 * _edge_forms(gm, kernel(dec, g).matrix)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _order_signs(report: CentralityReport) -> np.ndarray:
+    """Entry (i, j) is +1 if id i is strictly above id j beyond the tie
+    tolerance, -1 if strictly below, 0 if tied."""
+    x = report.indices
+    above = x[:, None] > x[None, :] + report.rank_tol()
+    return above.astype(np.int8) - above.T.astype(np.int8)
 
 
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    """Apply ``fn`` over ``items``, optionally in threads, results in order.
-
-    Evaluations are pure, so the output is identical to sequential mapping
-    regardless of scheduling.
-    """
-    workers = min(_worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _rank_flips(reports: Sequence[CentralityReport]) -> list[tuple[int, int, int]]:
+    """Strict-order reversals between neighboring reports, ordered by
+    ``(k, i, j)`` with ``i < j`` as the pair is visited."""
+    flips: list[tuple[int, int, int]] = []
+    before = _order_signs(reports[0]) if len(reports) > 1 else None
+    for k in range(len(reports) - 1):
+        after = _order_signs(reports[k + 1])
+        i, j = np.nonzero(np.triu(before * after == -1, 1))
+        ahead = (before[i, j] > 0).tolist()
+        for a, b, up in zip(i.tolist(), j.tolist(), ahead):
+            flips.append((k, a, b) if up else (k, b, a))
+        before = after
+    return flips
 
 
 @dataclass(frozen=True)
@@ -326,28 +338,15 @@ class TauSweepResult:
 
 
 def tau_sweep(gm: GraphMatrices, structure: NoiseStructure, taus: Sequence[float]) -> TauSweepResult:
-    """Evaluate centrality along a delay grid and log rank inversions."""
+    """Evaluate centrality along a delay grid and log rank inversions.
+
+    One decomposition serves the whole grid; each point equals
+    :func:`centrality_report` at that delay exactly."""
     taus = tuple(float(t) for t in taus)
     if not taus:
         raise ValueError("delay grid is empty")
-    dec = decompose(gm.laplacian, require_connected=True)
-    for t in taus:
-        info = stability_margin(dec, t)
-        if not info.stable:
-            raise StabilityError(t, info.tau_max)
-    reports = _map_ordered(lambda t: centrality_report(gm, structure, t), taus)
-    flips: list[tuple[int, int, int]] = []
-    for k in range(len(reports) - 1):
-        a, b = reports[k], reports[k + 1]
-        tol_a, tol_b = a.rank_tol(), b.rank_tol()
-        size = a.size
-        for i in range(size):
-            for j in range(i + 1, size):
-                sa = order_sign(a.indices[i], a.indices[j], tol_a)
-                sb = order_sign(b.indices[i], b.indices[j], tol_b)
-                if sa * sb == -1:
-                    flips.append((k, i, j) if sa > 0 else (k, j, i))
-    return TauSweepResult(taus=taus, reports=reports, rank_changes=flips)
+    reports = _reports(gm, decompose(gm.laplacian, require_connected=True), structure, taus)
+    return TauSweepResult(taus=taus, reports=reports, rank_changes=_rank_flips(reports))
 
 
 @dataclass(frozen=True)
@@ -364,22 +363,22 @@ class ScaleSweepResult:
 def scale_sweep(
     gm: GraphMatrices, structure: NoiseStructure, tau: float, alphas: Sequence[float]
 ) -> ScaleSweepResult:
-    """Evaluate centrality with all weights scaled by each alpha at fixed tau."""
+    """Evaluate centrality with all weights scaled by each alpha at fixed tau.
+
+    Scaling keeps the eigenvectors and maps lam to alpha * lam, so the
+    unscaled decomposition serves every alpha."""
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
         raise ValueError("scale grid is empty")
-    dec = decompose(gm.laplacian, require_connected=True)
     for alpha in alphas:
-        scaled_info = stability_margin(dec, tau * alpha)  # lam_max scales by alpha
-        if not scaled_info.stable:
-            raise StabilityError(tau, scaled_info.tau_max / alpha)
-    baseline = centrality_report(gm, structure, 0.0)
-
-    def evaluate(alpha: float) -> CentralityReport:
-        scaled = build_matrices(scale_weights(gm.graph, alpha))
-        return centrality_report(scaled, structure, tau)
-
-    reports = _map_ordered(evaluate, alphas)
+        if not (np.isfinite(alpha) and alpha > 0.0):
+            raise GraphError(f"scale factor must be positive, got {alpha}")
+    dec = decompose(gm.laplacian, require_connected=True)
+    baseline = _reports(gm, dec, structure, [0.0])[0]
+    reports = [
+        _reports(gm, replace(dec, eigenvalues=alpha * dec.eigenvalues), structure, [tau], alpha)[0]
+        for alpha in alphas
+    ]
     matches = [r.ranking == baseline.ranking for r in reports]
     return ScaleSweepResult(
         alphas=alphas, reports=reports, baseline=baseline, matches_baseline=matches
@@ -443,13 +442,14 @@ class EmitterDiagnostic:
 
 
 def emitter_display_diagnostic(gm: GraphMatrices, tau: float) -> EmitterDiagnostic:
-    dec, _ = _stable_decomposition(gm, tau)
+    dec = decompose(gm.laplacian, require_connected=True)
+    generic = _reports(gm, dec, EMITTER, [tau])[0].indices
     degrees = np.diag(gm.degree_diag)
+    q2 = dec.eigenvectors**2  # diag(Q diag(v) Q^T) = Q^2 v
     k = centrality_kernel(dec, tau)
     c = kernel(dec, lambda lam: np.cos(tau * lam) / (1.0 - np.sin(tau * lam)))  # K L
     lc = kernel(dec, lambda lam: lam * np.cos(tau * lam) / (1.0 - np.sin(tau * lam)))  # L^2 K
-    generic = _generic_indices(dec, gm.adjacency, tau)
-    simplified = 0.5 * (degrees**2 * k.diagonal() - degrees * c.diagonal() + lc.diagonal())
+    simplified = 0.5 * (degrees**2 * (q2 @ k.values) - degrees * (q2 @ c.values) + q2 @ lc.values)
     return EmitterDiagnostic(
         generic=generic,
         simplified_display=simplified,

@@ -41,15 +41,6 @@ def rank_with_ties(
     return tuple(ranking), tuple(tie_groups)
 
 
-def order_sign(a: float, b: float, tol: float) -> int:
-    """+1 if a is strictly above b (beyond tol), -1 if below, 0 if tied."""
-    if a > b + tol:
-        return 1
-    if b > a + tol:
-        return -1
-    return 0
-
-
 @dataclass(frozen=True)
 class CentralityReport:
     """One centrality evaluation: indices over nodes or links plus ranking.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -72,13 +73,16 @@ class SpectralDecomposition:
 class SpectralKernel:
     """A scalar map applied to nonzero eigenvalues, zero pinned on zero modes.
 
-    ``matrix`` is ``Q diag(values) Q^T``; it is symmetric, annihilates the
-    consensus direction, and commutes with the decomposed matrix.
+    ``matrix`` is ``Q diag(values) Q^T``, assembled on first use; it is symmetric,
+    annihilates the consensus direction, and commutes with the decomposed matrix.
     """
 
     decomposition: SpectralDecomposition
     values: np.ndarray
-    matrix: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _assemble(self.decomposition.eigenvectors, self.values)
 
     def diagonal(self) -> np.ndarray:
         return np.diag(self.matrix).copy()
@@ -91,7 +95,7 @@ class SpectralKernel:
         inv = np.zeros_like(self.values)
         mask = np.abs(self.values) > ZERO_REL_TOL * scale
         inv[mask] = 1.0 / self.values[mask]
-        return SpectralKernel(self.decomposition, inv, _assemble(self.decomposition.eigenvectors, inv))
+        return SpectralKernel(self.decomposition, inv)
 
 
 def decompose(matrix: np.ndarray, require_connected: bool = False) -> SpectralDecomposition:
@@ -148,7 +152,7 @@ def kernel(dec: SpectralDecomposition, g: Callable[[np.ndarray], np.ndarray]) ->
             lam = float(nz[np.argmax(bad)])
             raise SpectralError(f"kernel map is not finite at eigenvalue {lam:.6g}")
         values[dec.zero_mode_count :] = mapped
-    return SpectralKernel(dec, values, _assemble(dec.eigenvectors, values))
+    return SpectralKernel(dec, values)
 
 
 def matrix_function(dec: SpectralDecomposition, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -11,6 +11,7 @@ from delaycent import (
     MEASUREMENT,
     RECEIVER,
     SENSOR,
+    GraphError,
     NoiseSpec,
     NoiseStructure,
     StabilityError,
@@ -25,8 +26,10 @@ from delaycent import (
     node_centrality,
     performance,
     scale_sweep,
+    scale_weights,
     tau_sweep,
 )
+from delaycent import centrality as centrality_module
 from delaycent.centrality import centrality_kernel, centrality_report, noise_channels
 
 from conftest import (
@@ -409,6 +412,11 @@ class TestScaleSweep:
         with pytest.raises(StabilityError):
             scale_sweep(k2, DYNAMICS, 0.5, [1.0, 2.0])
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf])
+    def test_nonpositive_scale_rejected(self, k2, alpha):
+        with pytest.raises(GraphError, match="scale factor"):
+            scale_sweep(k2, DYNAMICS, 0.0, [1.0, alpha])
+
     def test_scaling_with_delay_can_reorder(self):
         # The converse of the tau=0 invariance: with a delay present,
         # uniformly strengthening the couplings does change who ranks where.
@@ -421,17 +429,83 @@ class TestScaleSweep:
         assert len(rankings) > 1
 
 
-class TestSweepParallelism:
-    def test_threaded_sweep_bit_identical(self, ex1_graph, monkeypatch):
-        grid = np.linspace(0.0, 0.15, 12)
-        monkeypatch.delenv("DELAYCENT_THREADS", raising=False)
-        sequential = tau_sweep(ex1_graph, DYNAMICS, grid)
-        monkeypatch.setenv("DELAYCENT_THREADS", "4")
-        threaded = tau_sweep(ex1_graph, DYNAMICS, grid)
-        for a, b in zip(sequential.reports, threaded.reports):
-            assert (a.indices == b.indices).all()
-            assert a.ranking == b.ranking
-        assert sequential.rank_changes == threaded.rank_changes
+def brute_force_flips(reports):
+    """Rank flips by the pairwise definition: every id pair at every step."""
+
+    def pair_sign(a, b, tol):
+        if a > b + tol:
+            return 1
+        if b > a + tol:
+            return -1
+        return 0
+
+    flips = []
+    for k in range(len(reports) - 1):
+        a, b = reports[k], reports[k + 1]
+        for i in range(a.size):
+            for j in range(i + 1, a.size):
+                sa = pair_sign(a.indices[i], a.indices[j], a.rank_tol())
+                sb = pair_sign(b.indices[i], b.indices[j], b.rank_tol())
+                if sa * sb == -1:
+                    flips.append((k, i, j) if sa > 0 else (k, j, i))
+    return flips
+
+
+class TestSweepSharedDecomposition:
+    @pytest.mark.parametrize("graph", ["ex1_graph", "c4", "star5"])
+    def test_tau_sweep_points_equal_single_calls(self, graph, request):
+        gm = request.getfixturevalue(graph)
+        rng = np.random.default_rng(61)
+        custom = (
+            NoiseStructure.custom(rng.normal(size=(gm.n, gm.n + 1)), over="nodes"),
+            NoiseStructure.custom(rng.normal(size=(gm.n, gm.num_edges)), over="links"),
+        )
+        tau_max = math.pi / (2 * decompose(gm.laplacian).lambda_max)
+        grid = np.linspace(0.0, 0.95 * tau_max, 12)
+        flips = 0
+        for structure in ALL_STRUCTURES + custom:
+            sweep = tau_sweep(gm, structure, grid)
+            for tau, rep in zip(grid, sweep.reports):
+                single = centrality_report(gm, structure, tau)
+                assert np.array_equal(rep.indices, single.indices)
+                assert rep.ranking == single.ranking
+                assert rep.tie_groups == single.tie_groups
+                assert (rep.tau, rep.tau_max, rep.margin) == (single.tau, single.tau_max, single.margin)
+            assert sweep.rank_changes == brute_force_flips(sweep.reports)
+            flips += len(sweep.rank_changes)
+        if graph == "ex1_graph":
+            assert flips > 0
+
+    @pytest.mark.parametrize("graph", ["ex1_graph", "star5"])
+    def test_scale_sweep_matches_rebuilt_graphs(self, graph, request):
+        gm = request.getfixturevalue(graph)
+        tau = 0.5 * math.pi / (2 * decompose(gm.laplacian).lambda_max)
+        alphas = (1 / 16, 0.5, 1.0, 1.9)
+        for structure in ALL_STRUCTURES:
+            sweep = scale_sweep(gm, structure, tau, alphas)
+            baseline = centrality_report(gm, structure, 0.0)
+            for alpha, rep, match in zip(alphas, sweep.reports, sweep.matches_baseline):
+                ref = centrality_report(build_matrices(scale_weights(gm.graph, alpha)), structure, tau)
+                np.testing.assert_allclose(rep.indices, ref.indices, rtol=1e-12, atol=0)
+                assert rep.tau_max == pytest.approx(ref.tau_max, rel=1e-12)
+                assert rep.margin == pytest.approx(ref.margin, rel=1e-12)
+                assert match == (ref.ranking == baseline.ranking)
+
+    def test_each_sweep_decomposes_once(self, ex1_graph, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(centrality_module, "decompose", counting)
+        for structure in ALL_STRUCTURES:
+            calls.clear()
+            tau_sweep(ex1_graph, structure, np.linspace(0.0, 0.1, 6))
+            assert len(calls) == 1
+            calls.clear()
+            scale_sweep(ex1_graph, structure, 0.05, [0.5, 1.0, 1.5])
+            assert len(calls) == 1
 
 
 class TestAdversarialAllocation:
