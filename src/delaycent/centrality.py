@@ -128,7 +128,7 @@ def input_matrix(gm: GraphMatrices, structure: NoiseStructure) -> np.ndarray:
     if tag is StructureTag.EMITTER:
         return gm.adjacency.copy()
     if tag is StructureTag.COMM_CHANNEL:
-        return gm.incidence @ gm.weight_diag
+        return gm.incidence * gm.graph.weights()
     if tag is StructureTag.MEASUREMENT:
         return -gm.incidence
     b = np.asarray(structure.custom_b, dtype=float)
@@ -191,6 +191,11 @@ def performance(gm: GraphMatrices, spec: NoiseSpec, tau: float) -> float:
     ``[Q^T B diag(sigma^2) B^T Q]_kk``.
     """
     dec, _ = _stable_decomposition(gm, tau)
+    return _performance(gm, dec, spec, tau)
+
+
+def _performance(gm: GraphMatrices, dec: SpectralDecomposition, spec: NoiseSpec, tau: float) -> float:
+    """:func:`performance` on the decomposition ``dec`` of a stable configuration."""
     b = input_matrix(gm, spec.structure)
     var = spec.resolve_variances(gm)
     modal = dec.eigenvectors.T @ b
@@ -289,6 +294,13 @@ def link_sensitivity(gm: GraphMatrices, structure: NoiseStructure, tau: float) -
     weight.
     """
     dec, _ = _stable_decomposition(gm, tau)
+    return _link_sensitivity(gm, dec, structure, tau)
+
+
+def _link_sensitivity(
+    gm: GraphMatrices, dec: SpectralDecomposition, structure: NoiseStructure, tau: float
+) -> np.ndarray:
+    """:func:`link_sensitivity` on the decomposition ``dec`` of a stable configuration."""
     if structure.tag is StructureTag.DYNAMICS:
         g = lambda lam: (tau * lam - np.cos(tau * lam)) / (lam**2 * (1.0 - np.sin(tau * lam)))
     elif structure.tag is StructureTag.SENSOR:

@@ -12,6 +12,8 @@ import csv
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -49,22 +51,64 @@ def _fmt_float(x: float) -> str:
     return f"{x:.{_SIG_DIGITS}g}"
 
 
-def _jsonable(obj: Any) -> Any:
-    """Round floats to 12 significant digits; non-finite become null."""
+def _json_float(x: float) -> str:
+    """A float rounded to 12 significant digits, as ``json`` writes it; non-finite -> null."""
+    return repr(float(_fmt_float(x))) if math.isfinite(x) else "null"
+
+
+def _json_items(items: list | tuple, nl: str):
+    """The encoded elements of one list, each on a line starting with ``nl``.
+
+    Flat lists of floats or of ints, and lists of equal-length int tuples or
+    lists (rank flips, link pairs), are encoded in one pass; anything else
+    element by element."""
+    types = set(map(type, items))
+    if types == {float}:
+        return map(_json_float, items)
+    if types == {int}:
+        return map(int.__repr__, items)
+    if types == {tuple} or types == {list}:
+        widths = set(map(len, items))
+        if len(widths) == 1 and set(map(type, chain.from_iterable(items))) == {int}:
+            inner = nl + "  "
+            template = "[" + inner + ("," + inner).join(["%d"] * widths.pop()) + nl + "]"
+            return [template % tuple(row) for row in items]
+    return (_json_value(v, nl) for v in items)
+
+
+def _json_value(obj: Any, nl: str) -> str:
+    """``obj`` as ``json.dumps(indent=2, sort_keys=True)`` writes it after rounding
+    every float to 12 significant digits (non-finite ones to null); numpy
+    scalars and arrays count as numbers and lists, tuples as lists, and dict
+    keys must be strings.  ``nl`` is the newline plus the indentation of the
+    line ``obj`` starts on."""
+    if isinstance(obj, str):
+        return _json_str(obj)
     if isinstance(obj, bool):
-        return obj
+        return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return float(_fmt_float(x)) if math.isfinite(x) else None
+        return _json_float(float(obj))
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return int.__repr__(int(obj))
+    if obj is None:
+        return "null"
+    inner = nl + "  "
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        if not obj:
+            return "{}"
+        fields = (f"{_json_str(k)}: {_json_value(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(fields) + nl + "}"
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json_items(obj, inner)) + nl + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _to_json(obj: Any) -> str:
+    return _json_value(obj, "\n")
 
 
 def _csv_cell(value: Any) -> str:
@@ -86,7 +130,7 @@ def _emit(payload: dict, header, rows, fmt: str, output: str | None) -> None:
     """Write one report.  JSON is a single sorted document; CSV streams row
     by row so long sweeps never buffer their full table."""
     if fmt == "json":
-        _write_output(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", output)
+        _write_output(_to_json(payload) + "\n", output)
         return
     handle = open(output, "w", newline="") if output else sys.stdout
     try:
@@ -166,10 +210,7 @@ def _load_graph(args) -> tuple[GraphMatrices, _IdMap]:
     graph, id_map = remap_node_ids(records, declared_n)
     if not id_map.identity:
         side = Path(args.output + ".idmap.json") if args.output else path.with_suffix(path.suffix + ".idmap.json")
-        side.write_text(
-            json.dumps({str(orig): k for k, orig in enumerate(id_map.original)}, indent=2, sort_keys=True)
-            + "\n"
-        )
+        side.write_text(_to_json({str(orig): k for k, orig in enumerate(id_map.original)}) + "\n")
         print(f"note: sparse node ids remapped; map written to {side}", file=sys.stderr)
     if getattr(args, "verbose", False):
         print(
@@ -187,6 +228,8 @@ def _parse_grid(text: str, name: str) -> list[float]:
         raise ValueError(f"{name} must be a comma-separated list of numbers: {text!r}") from None
     if not values:
         raise ValueError(f"{name} is empty")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must hold finite numbers: {text!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} must be strictly increasing: {text!r}")
     return values
@@ -293,13 +336,12 @@ def _cmd_rank(args) -> int:
 def _cmd_sensitivity(args) -> int:
     gm, id_map = _load_graph(args)
     structure = _structure_from_args(args)
-    kappa = ct.link_sensitivity(gm, structure, args.tau)
-    dec = decompose(gm.laplacian, require_connected=True)
-    info = stability_margin(dec, args.tau)
+    dec, info = ct._stable_decomposition(gm, args.tau)
+    kappa = ct._link_sensitivity(gm, dec, structure, args.tau)
     payload = {
         "tau": args.tau,
         "structure": structure.name,
-        "kappa": list(kappa),
+        "kappa": kappa.tolist(),
         "links": [[id_map.orig(i), id_map.orig(j)] for i, j in gm.graph.edge_pairs()],
         "tau_max": info.tau_max,
         "margin": info.margin,
@@ -316,9 +358,8 @@ def _cmd_perf(args) -> int:
     gm, _ = _load_graph(args)
     structure = _structure_from_args(args)
     var = _load_sigma(args.sigma, ct.noise_channels(gm, structure), structure.name)
-    rho = ct.performance(gm, ct.NoiseSpec(structure, var), args.tau)
-    dec = decompose(gm.laplacian, require_connected=True)
-    info = stability_margin(dec, args.tau)
+    dec, info = ct._stable_decomposition(gm, args.tau)
+    rho = ct._performance(gm, dec, ct.NoiseSpec(structure, var), args.tau)
     payload = {
         "tau": args.tau,
         "structure": structure.name,
@@ -338,14 +379,14 @@ def _cmd_sweep_tau(args) -> int:
     result = ct.tau_sweep(gm, structure, grid)
     is_link = structure.indexes_links
     reports = [_report_payload(r, gm, id_map, is_link) for r in result.reports]
-    rank_changes = list(result.rank_changes)
+    rank_changes = result.rank_changes
     if not is_link and not id_map.identity:
         rank_changes = [(k, id_map.orig(i), id_map.orig(j)) for k, i, j in rank_changes]
     payload = {
         "structure": structure.name,
         "tau_grid": grid,
         "reports": reports,
-        "rank_changes": [list(f) for f in rank_changes],
+        "rank_changes": rank_changes,
     }
     def rows():
         for tau, report in zip(grid, result.reports):

@@ -23,7 +23,7 @@ import numpy as np
 from .centrality import NoiseStructure, input_matrix, noise_channels
 from .graph import GraphMatrices
 from .quadrature import integrate_adaptive
-from .spectral import StabilityError, decompose, stability_margin
+from .spectral import StabilityError, check_delay, decompose, stability_margin
 
 # Steps of pre-generated noise held in memory at a time.
 _NOISE_CHUNK = 4096
@@ -48,8 +48,7 @@ def mode_integral(lam: float, tau: float, eps_q: float = 1e-8) -> float:
     """
     if not (lam > 0):
         raise ValueError(f"eigenvalue must be positive, got {lam}")
-    if tau < 0:
-        raise ValueError(f"delay must be nonnegative, got {tau}")
+    check_delay(tau)
     if not (eps_q > 0):
         raise ValueError(f"tolerance must be positive, got {eps_q}")
     if tau * lam >= math.pi / 2:
@@ -94,8 +93,7 @@ class SimConfig:
     scheme: str = "euler-maruyama"
 
     def __post_init__(self) -> None:
-        if self.tau < 0:
-            raise ValueError(f"delay must be nonnegative, got {self.tau}")
+        check_delay(self.tau)
         if not (self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.tau > 0 and self.dt > self.tau / 20 * (1 + 1e-12):

@@ -71,7 +71,7 @@ class CentralityReport:
         payload: dict[str, Any] = {
             "tau": float(self.tau),
             "structure": self.structure,
-            "indices": [float(v) for v in self.indices],
+            "indices": self.indices.tolist(),
             "ranking": list(self.ranking),
             "tie_groups": [list(g) for g in self.tie_groups],
             "tau_max": None if self.tau_max is None else float(self.tau_max),

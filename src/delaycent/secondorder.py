@@ -19,7 +19,7 @@ import numpy as np
 from .graph import GraphMatrices
 from .quadrature import QuadratureError, integrate_adaptive
 from .report import CentralityReport, make_report
-from .spectral import decompose
+from .spectral import check_delay, decompose
 
 SECOND_ORDER_TAG = "second-order-dynamics"
 
@@ -50,8 +50,7 @@ class SecondOrderConfig:
     def __post_init__(self) -> None:
         if not (self.b > 0):
             raise ValueError(f"velocity gain b must be positive, got {self.b}")
-        if self.tau < 0:
-            raise ValueError(f"delay must be nonnegative, got {self.tau}")
+        check_delay(self.tau)
         if not (self.quad_tol > 0):
             raise ValueError(f"quadrature tolerance must be positive, got {self.quad_tol}")
         if self.panel_budget < 4 or self.omega_growth <= 1.0:

@@ -187,14 +187,19 @@ class StabilityInfo:
     stable: bool
 
 
+def check_delay(tau: float) -> None:
+    """Reject a delay that is not a finite nonnegative number."""
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"delay must be finite and nonnegative, got {tau}")
+
+
 def stability_margin(dec: SpectralDecomposition, tau: float) -> StabilityInfo:
     """Stability boundary ``tau_max = pi / (2 * lambda_max)`` and the margin at ``tau``.
 
     The boundary itself is excluded: a configuration counts as stable only
     when ``tau < tau_max - STABILITY_SLACK`` (and the graph is connected).
     """
-    if tau < 0:
-        raise ValueError(f"delay must be nonnegative, got {tau}")
+    check_delay(tau)
     if dec.zero_mode_count != 1:
         raise DisconnectedGraphError(
             f"stability is defined for connected graphs; found {dec.zero_mode_count} zero modes"

@@ -24,6 +24,7 @@ from delaycent import (
     link_centrality,
     link_sensitivity,
     node_centrality,
+    parse_edge_list,
     performance,
     scale_sweep,
     scale_weights,
@@ -33,6 +34,7 @@ from delaycent import centrality as centrality_module
 from delaycent.centrality import centrality_kernel, centrality_report, noise_channels
 
 from conftest import (
+    FIXTURES,
     complete_graph,
     cycle_graph,
     random_connected_graph,
@@ -79,6 +81,11 @@ class TestInputMatrix:
 
     def test_comm_channel_unit_weights_is_incidence(self, triangle):
         np.testing.assert_allclose(input_matrix(triangle, COMM_CHANNEL), triangle.incidence)
+
+    @pytest.mark.parametrize("name", ["k2", "p3", "c4", "s5", "ex1_8n20e", "sparse9w"])
+    def test_comm_channel_equals_incidence_times_weight_diag(self, name):
+        gm = build_matrices(parse_edge_list((FIXTURES / f"{name}.edges").read_text()))
+        assert np.array_equal(input_matrix(gm, COMM_CHANNEL), gm.incidence @ gm.weight_diag)
 
     def test_measurement_is_negative_incidence(self, triangle):
         np.testing.assert_allclose(input_matrix(triangle, MEASUREMENT), -triangle.incidence)

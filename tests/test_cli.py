@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from delaycent.cli import run
@@ -195,6 +196,54 @@ class TestExitCodes:
         assert code == 4
         assert "marginal" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stability", "--tau", "nan"],
+            ["stability", "--tau=-inf"],
+            ["second-order", "--b", "1.0", "--tau", "nan"],
+            ["sweep-tau", "--structure", "dynamics", "--tau-grid", "0,nan"],
+            ["sweep-tau", "--structure", "dynamics", "--tau-grid", "0,inf"],
+            ["sweep-scale", "--structure", "dynamics", "--tau", "0", "--alpha-grid", "1,inf"],
+            ["sweep-scale", "--structure", "dynamics", "--tau", "nan", "--alpha-grid", "1"],
+            ["perf", "--structure", "dynamics", "--tau", "inf"],
+            ["centrality", "--structure", "dynamics", "--tau", "nan"],
+            ["simulate", "--structure", "dynamics", "--tau", "nan"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_non_finite_delay_exit_2(self, argv, capsys):
+        code = run([*argv, "--graph", str(FIXTURES / "k2.edges")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+
+class TestOneDecomposition:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perf", "--structure", "dynamics", "--tau", "0.1"],
+            ["perf", "--structure", "comm-channel", "--tau", "0.1"],
+            ["sensitivity", "--structure", "sensor", "--tau", "0.1"],
+            ["sensitivity", "--structure", "dynamics", "--tau", "0.1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_one_eigh_per_op(self, argv, monkeypatch, tmp_path):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        graph = str(FIXTURES / "ex1_8n20e.edges")
+        assert run([*argv, "--graph", graph, "--output", str(tmp_path / "out.json")]) == 0
+        assert len(calls) == 1
+
+    def test_error_precedence_kept(self, capsys):
+        # The delay is checked before the structure, as with two decompositions.
+        graph = str(FIXTURES / "k2.edges")
+        assert run(["sensitivity", "--graph", graph, "--structure", "emitter", "--tau", "1.0"]) == 3
+        assert run(["sensitivity", "--graph", graph, "--structure", "emitter", "--tau", "0.1"]) == 2
+        assert "dynamics and sensor" in capsys.readouterr().err
+
 
 class TestRemapping:
     def test_sparse_ids_remapped_with_side_file(self, tmp_path):
@@ -258,6 +307,38 @@ GOLDEN_CASES = [
         [
             "sweep-tau", "--graph", "ex1_8n20e.edges", "--structure", "dynamics",
             "--tau-grid", "0,0.05,0.1", "--format", "csv",
+        ],
+    ),
+    (
+        "ex1_sweep_measurement.json",
+        [
+            "sweep-tau", "--graph", "ex1_8n20e.edges", "--structure", "measurement",
+            "--tau-grid", "0,0.1,0.18,0.2",
+        ],
+    ),
+    (
+        "ex1_sweep_scale.json",
+        [
+            "sweep-scale", "--graph", "ex1_8n20e.edges", "--structure", "dynamics",
+            "--tau", "0.1", "--alpha-grid", "0.25,0.5,1,2",
+        ],
+    ),
+    (
+        "sparse9w_sensitivity_sensor.json",
+        ["sensitivity", "--graph", "sparse9w.edges", "--structure", "sensor", "--tau", "0.1"],
+    ),
+    (
+        "sparse9w_sweep_dynamics.json",
+        [
+            "sweep-tau", "--graph", "sparse9w.edges", "--structure", "dynamics",
+            "--tau-grid", "0,0.1,0.15,0.2,0.23",
+        ],
+    ),
+    (
+        "sparse9w_sweep_comm.json",
+        [
+            "sweep-tau", "--graph", "sparse9w.edges", "--structure", "comm-channel",
+            "--tau-grid", "0,0.1,0.2,0.23",
         ],
     ),
     (

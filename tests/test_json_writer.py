@@ -1,0 +1,133 @@
+"""The CLI's JSON writer against the encoder it replaced.
+
+``oracle`` is the former report encoder, kept here as the reference: every
+float rounded to 12 significant digits by a recursive copy, then
+``json.dumps(indent=2, sort_keys=True)``.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from delaycent.cli import _to_json
+
+
+def _jsonable(obj):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return float(f"{x:.12g}") if math.isfinite(x) else None
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    return obj
+
+
+def oracle(obj):
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True)
+
+
+# Floats where %.12g and repr part ways ([1e11, 1e17): exponent vs plain
+# digits), signed zero, the smallest subnormal and the non-finite values.
+special_floats = st.one_of(
+    st.floats(min_value=1e11, max_value=1e17, exclude_max=True),
+    st.floats(min_value=-1e17, max_value=-1e11, exclude_min=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 1e16, 1e-5]),
+)
+floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True), special_floats)
+ints = st.integers(min_value=-(2**70), max_value=2**70)
+numpy_scalars = st.one_of(
+    floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=255).map(np.uint8),
+)
+text = st.text(st.characters(codec="utf-8"), max_size=8)
+scalars = st.one_of(floats, ints, st.booleans(), st.none(), text, numpy_scalars)
+
+# Flat lists of one kind and lists of equal-length int tuples/lists, which
+# the writer encodes in one pass, plus bools mixed into int lists.
+int_rows = st.integers(min_value=0, max_value=4).flatmap(
+    lambda w: st.lists(st.tuples(*[ints] * w) | st.lists(ints, min_size=w, max_size=w), max_size=6)
+)
+flat = st.one_of(
+    st.lists(floats, max_size=8),
+    st.lists(ints, max_size=8),
+    st.lists(st.one_of(ints, st.booleans()), max_size=8),
+    int_rows,
+    st.lists(st.tuples(ints, ints, ints), max_size=6),
+)
+arrays = st.one_of(
+    hnp.arrays(np.float64, st.integers(0, 6), elements=floats),
+    hnp.arrays(np.int64, st.integers(0, 6)),
+    hnp.arrays(np.bool_, st.integers(0, 6)),
+)
+
+payloads = st.recursive(
+    st.one_of(scalars, flat, arrays),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(text, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payloads)
+def test_writer_matches_oracle(payload):
+    assert _to_json(payload) == oracle(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        (),
+        {"a": []},
+        {"": {}},
+        np.array([]),
+        [[]],
+        [(), ()],
+        [[1, 2], (3, 4)],
+        [(1, 2), (3, 4, 5)],
+        [(1, True), (2, 3)],
+        [(1, 2.0), (3, 4)],
+        [1, 2.5, None],
+        ["été", "\U0001f600", "a\"b\\c\n"],
+        {"über": 1, "Z": 2, "a": 3},
+        [np.float64(0.1), 0.1],
+        [1e16, 123456789012.5, 99999999999.99, -0.0, 5e-324],
+        np.array([math.nan, math.inf, -math.inf, 1.0]),
+        np.array([[1, 2], [3, 4]]),
+    ],
+)
+def test_writer_edge_cases(payload):
+    assert _to_json(payload) == oracle(payload)
+
+
+@pytest.mark.parametrize("payload", [object(), [np.bool_(True)], np.array(1.0)])
+def test_writer_refuses_what_json_refuses(payload):
+    with pytest.raises(TypeError):
+        oracle(payload)
+    with pytest.raises(TypeError):
+        _to_json(payload)
+
+
+def test_writer_refuses_non_string_keys():
+    # Reports only have string keys; json would print 1 as "1".
+    with pytest.raises(TypeError):
+        _to_json({1: 2})

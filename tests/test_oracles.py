@@ -59,6 +59,11 @@ class TestModeIntegral:
         with pytest.raises(ValueError):
             mode_integral(-1.0, 0.0)
 
+    @pytest.mark.parametrize("tau", [-0.1, math.nan, math.inf])
+    def test_invalid_delay(self, tau):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mode_integral(1.0, tau)
+
 
 class TestSimConfig:
     def test_defaults_valid(self):
@@ -84,6 +89,11 @@ class TestSimConfig:
             SimConfig(tau=0.0, n_traj=0)
         with pytest.raises(ValueError):
             SimConfig(tau=0.0, scheme="heun")
+
+    @pytest.mark.parametrize("tau", [-0.1, math.nan, math.inf])
+    def test_delay_must_be_finite_and_nonnegative(self, tau):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SimConfig(tau=tau)
 
 
 class TestSimulate:

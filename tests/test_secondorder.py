@@ -150,7 +150,8 @@ class TestClosedForm:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SecondOrderConfig(b=0.0)
-        with pytest.raises(ValueError):
-            SecondOrderConfig(b=1.0, tau=-0.1)
+        for tau in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                SecondOrderConfig(b=1.0, tau=tau)
         with pytest.raises(ValueError):
             SecondOrderConfig(b=1.0, quad_tol=0.0)

@@ -182,6 +182,11 @@ class TestStabilityMargin:
         with pytest.raises(DisconnectedGraphError):
             stability_margin(decompose(gm.laplacian), 0.1)
 
+    @pytest.mark.parametrize("tau", [-0.1, math.nan, math.inf, -math.inf])
+    def test_delay_must_be_finite_and_nonnegative(self, k2, tau):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            stability_margin(decompose(k2.laplacian), tau)
+
 
 class TestEdgeQuadraticForm:
     def test_triangle_resistance(self, triangle):
