@@ -117,20 +117,22 @@ ALL_STRUCTURES = (DYNAMICS, SENSOR, RECEIVER, EMITTER, COMM_CHANNEL, MEASUREMENT
 
 
 def input_matrix(gm: GraphMatrices, structure: NoiseStructure) -> np.ndarray:
-    """The input matrix B mandated by the structure tag."""
-    tag = structure.tag
+    """The input matrix B mandated by the structure tag, built densely on
+    each call: the degree diagonal D, the adjacency D - L, or the incidence
+    E (+1 at the smaller endpoint of each edge, -1 at the larger)."""
+    tag, g = structure.tag, gm.graph
     if tag is StructureTag.DYNAMICS:
         return np.eye(gm.n)
     if tag is StructureTag.SENSOR:
         return gm.laplacian.copy()
     if tag is StructureTag.RECEIVER:
-        return gm.degree_diag.copy()
+        return np.diag(gm.degrees)
     if tag is StructureTag.EMITTER:
-        return gm.adjacency.copy()
-    if tag is StructureTag.COMM_CHANNEL:
-        return gm.incidence * gm.graph.weights()
-    if tag is StructureTag.MEASUREMENT:
-        return -gm.incidence
+        return np.diag(gm.degrees) - gm.laplacian
+    if tag in _LINK_TAGS:
+        b, e = np.zeros((gm.n, gm.num_edges)), np.arange(gm.num_edges)
+        b[g.i, e], b[g.j, e] = 1.0, -1.0
+        return np.multiply(b, g.w, out=b) if tag is StructureTag.COMM_CHANNEL else np.negative(b, out=b)
     b = np.asarray(structure.custom_b, dtype=float)
     if b.ndim != 2 or b.shape[0] != gm.n:
         raise ValueError(f"custom input matrix must have {gm.n} rows, got shape {b.shape}")
@@ -207,7 +209,7 @@ def _performance(gm: GraphMatrices, dec: SpectralDecomposition, spec: NoiseSpec,
 
 def _edge_forms(gm: GraphMatrices, k: np.ndarray) -> np.ndarray:
     """:func:`edge_quadratic_form` of ``k`` over every edge, in canonical edge order."""
-    i, j = np.array(gm.graph.edge_pairs(), dtype=np.intp).reshape(-1, 2).T
+    i, j = gm.graph.i, gm.graph.j
     diag = np.diagonal(k)
     return diag[i] + diag[j] - 2.0 * k[i, j]
 
@@ -227,7 +229,7 @@ def _modal_power(
     lam = dec.nonzero_eigenvalues()
     if tag is StructureTag.SENSOR:
         return (q * lam) ** 2
-    degrees = alpha * np.diag(gm.degree_diag)[:, None]
+    degrees = alpha * gm.degrees[:, None]
     if tag is StructureTag.RECEIVER:
         return (degrees * q) ** 2
     return (q * (degrees - lam)) ** 2
@@ -250,7 +252,7 @@ def _reports(
             raise StabilityError(t, info.tau_max)
     if structure.tag in _LINK_TAGS:
         comm = structure.tag is StructureTag.COMM_CHANNEL
-        scale = 0.5 * (alpha * gm.graph.weights() if comm else 1.0) ** 2
+        scale = 0.5 * (alpha * gm.graph.w if comm else 1.0) ** 2
         indices = lambda tau: scale * _edge_forms(gm, centrality_kernel(dec, tau).matrix)
     else:
         power, z = _modal_power(gm, dec, structure, alpha), dec.zero_mode_count
@@ -456,7 +458,7 @@ class EmitterDiagnostic:
 def emitter_display_diagnostic(gm: GraphMatrices, tau: float) -> EmitterDiagnostic:
     dec = decompose(gm.laplacian, require_connected=True)
     generic = _reports(gm, dec, EMITTER, [tau])[0].indices
-    degrees = np.diag(gm.degree_diag)
+    degrees = gm.degrees
     q2 = dec.eigenvectors**2  # diag(Q diag(v) Q^T) = Q^2 v
     k = centrality_kernel(dec, tau)
     c = kernel(dec, lambda lam: np.cos(tau * lam) / (1.0 - np.sin(tau * lam)))  # K L

@@ -144,18 +144,17 @@ def _emit(payload: dict, header, rows, fmt: str, output: str | None) -> None:
 
 
 class _IdMap:
-    """Mapping between raw (possibly sparse) input node ids and internal ids."""
+    """Mapping between raw (possibly sparse) input node ids and internal ids:
+    ``ids[k]`` (also ``original[k]``, as Python ints) is the raw id of node k."""
 
-    def __init__(self, original_ids: list[int]):
-        self.original = original_ids
-        self.to_internal = {orig: k for k, orig in enumerate(original_ids)}
+    def __init__(self, ids: np.ndarray):
+        self.ids = ids
+        self.original = ids.tolist()
+        self.identity = self.original == list(range(len(self.original)))
 
-    @property
-    def identity(self) -> bool:
-        return self.original == list(range(len(self.original)))
-
-    def orig(self, internal: int) -> int:
-        return self.original[internal]
+    def links(self, graph: WeightedGraph) -> list[list[int]]:
+        """Raw endpoint ids of every edge, in canonical edge order."""
+        return np.stack([self.ids[graph.i], self.ids[graph.j]], axis=1).tolist()
 
 
 def remap_node_ids(records, declared_n: int | None) -> tuple[WeightedGraph, _IdMap]:
@@ -166,36 +165,13 @@ def remap_node_ids(records, declared_n: int | None) -> tuple[WeightedGraph, _IdM
     already dense (and consistent with any declared count), the map is the
     identity and declared isolated nodes are preserved.
     """
-    ids = sorted({i for _, i, j, _ in records} | {j for _, i, j, _ in records})
-    max_id = ids[-1] if ids else -1
-    dense = ids == list(range(max_id + 1))
-    if dense and (declared_n is None or declared_n >= max_id + 1):
-        n = declared_n if declared_n is not None else max_id + 1
-        id_map = _IdMap(list(range(n)))
-        graph = _build_from_records(records, n, id_map)
-        return graph, id_map
+    lines, i, j, w = list(zip(*records)) or [()] * 4
+    ids, internal = np.unique(np.array(i + j), return_inverse=True)
+    if len(ids) == ids.max(initial=-1) + 1 and (declared_n is None or declared_n >= len(ids)):
+        ids = np.arange(len(ids) if declared_n is None else declared_n)
     id_map = _IdMap(ids)
-    graph = _build_from_records(records, len(ids), id_map)
-    return graph, id_map
-
-
-def _build_from_records(records, n: int, id_map: _IdMap) -> WeightedGraph:
-    seen: dict[tuple[int, int], int] = {}
-    edges = []
-    for line_no, i, j, w in records:
-        a, b = id_map.to_internal[i], id_map.to_internal[j]
-        if a == b:
-            raise GraphError(f"line {line_no}: self-loop at node {i}")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise GraphError(
-                f"line {line_no}: duplicate edge ({i}, {j}), first seen on line {seen[key]}"
-            )
-        if not (np.isfinite(w) and w > 0.0):
-            raise GraphError(f"line {line_no}: non-positive weight {w}")
-        seen[key] = line_no
-        edges.append((key[0], key[1], w))
-    return WeightedGraph(n=n, edges=tuple(edges))
+    edges = (internal[: len(i)], internal[len(i) :], w)
+    return WeightedGraph.from_arrays(len(ids), *edges, lines=lines, names=ids), id_map
 
 
 def _load_graph(args) -> tuple[GraphMatrices, _IdMap]:
@@ -253,13 +229,11 @@ def _load_sigma(path: str | None, expected: int, name: str) -> np.ndarray | None
 def _report_payload(report: CentralityReport, gm: GraphMatrices, id_map: _IdMap, is_link: bool) -> dict:
     payload = report.to_dict()
     if is_link:
-        payload["links"] = [
-            [id_map.orig(i), id_map.orig(j)] for i, j in gm.graph.edge_pairs()
-        ]
+        payload["links"] = id_map.links(gm.graph)
     elif not id_map.identity:
-        payload["ids"] = [id_map.orig(k) for k in range(gm.n)]
-        payload["ranking"] = [id_map.orig(k) for k in report.ranking]
-        payload["tie_groups"] = [[id_map.orig(k) for k in g] for g in report.tie_groups]
+        payload["ids"] = list(id_map.original)
+        payload["ranking"] = [id_map.original[k] for k in report.ranking]
+        payload["tie_groups"] = [[id_map.original[k] for k in g] for g in report.tie_groups]
     return payload
 
 
@@ -268,12 +242,12 @@ def _report_rows(report: CentralityReport, gm: GraphMatrices, id_map: _IdMap, is
     rows = []
     if is_link:
         header = ["id", "i", "j", "index", "rank"]
-        for e, (i, j) in enumerate(gm.graph.edge_pairs()):
-            rows.append([e, id_map.orig(i), id_map.orig(j), report.indices[e], rank_of[e]])
+        for e, (i, j) in enumerate(id_map.links(gm.graph)):
+            rows.append([e, i, j, report.indices[e], rank_of[e]])
     else:
         header = ["id", "index", "rank"]
         for k in range(report.size):
-            rows.append([id_map.orig(k), report.indices[k], rank_of[k]])
+            rows.append([id_map.original[k], report.indices[k], rank_of[k]])
     return header, rows
 
 
@@ -314,21 +288,9 @@ def _cmd_rank(args) -> int:
     gm, id_map = _load_graph(args)
     structure = _structure_from_args(args)
     report = ct.centrality_report(gm, structure, args.tau)
-    is_link = structure.indexes_links
-    ranking = list(report.ranking)
-    tie_groups = [list(g) for g in report.tie_groups]
-    if not is_link and not id_map.identity:
-        ranking = [id_map.orig(k) for k in ranking]
-        tie_groups = [[id_map.orig(k) for k in g] for g in tie_groups]
-    payload = {
-        "tau": report.tau,
-        "structure": report.structure,
-        "ranking": ranking,
-        "tie_groups": tie_groups,
-        "tau_max": report.tau_max,
-        "margin": report.margin,
-    }
-    rows = [[pos, idx] for pos, idx in enumerate(ranking)]
+    full = _report_payload(report, gm, id_map, structure.indexes_links)
+    payload = {k: full[k] for k in ("tau", "structure", "ranking", "tie_groups", "tau_max", "margin")}
+    rows = [[pos, idx] for pos, idx in enumerate(payload["ranking"])]
     _emit(payload, ["rank", "id"], rows, args.format, args.output)
     return EXIT_OK
 
@@ -338,18 +300,16 @@ def _cmd_sensitivity(args) -> int:
     structure = _structure_from_args(args)
     dec, info = ct._stable_decomposition(gm, args.tau)
     kappa = ct._link_sensitivity(gm, dec, structure, args.tau)
+    links = id_map.links(gm.graph)
     payload = {
         "tau": args.tau,
         "structure": structure.name,
         "kappa": kappa.tolist(),
-        "links": [[id_map.orig(i), id_map.orig(j)] for i, j in gm.graph.edge_pairs()],
+        "links": links,
         "tau_max": info.tau_max,
         "margin": info.margin,
     }
-    rows = [
-        [e, id_map.orig(i), id_map.orig(j), kappa[e]]
-        for e, (i, j) in enumerate(gm.graph.edge_pairs())
-    ]
+    rows = [[e, i, j, kappa[e]] for e, (i, j) in enumerate(links)]
     _emit(payload, ["id", "i", "j", "kappa"], rows, args.format, args.output)
     return EXIT_OK
 
@@ -381,7 +341,7 @@ def _cmd_sweep_tau(args) -> int:
     reports = [_report_payload(r, gm, id_map, is_link) for r in result.reports]
     rank_changes = result.rank_changes
     if not is_link and not id_map.identity:
-        rank_changes = [(k, id_map.orig(i), id_map.orig(j)) for k, i, j in rank_changes]
+        rank_changes = [(k, id_map.original[i], id_map.original[j]) for k, i, j in rank_changes]
     payload = {
         "structure": structure.name,
         "tau_grid": grid,
@@ -392,7 +352,7 @@ def _cmd_sweep_tau(args) -> int:
         for tau, report in zip(grid, result.reports):
             rank_of = {idx: pos for pos, idx in enumerate(report.ranking)}
             for k in range(report.size):
-                ident = k if is_link else id_map.orig(k)
+                ident = k if is_link else id_map.original[k]
                 yield [tau, ident, report.indices[k], rank_of[k]]
 
     _emit(payload, ["tau", "id", "index", "rank"], rows(), args.format, args.output)
@@ -417,7 +377,7 @@ def _cmd_sweep_scale(args) -> int:
         for alpha, report, match in zip(grid, result.reports, result.matches_baseline):
             rank_of = {idx: pos for pos, idx in enumerate(report.ranking)}
             for k in range(report.size):
-                ident = k if is_link else id_map.orig(k)
+                ident = k if is_link else id_map.original[k]
                 yield [alpha, ident, report.indices[k], rank_of[k], match]
 
     _emit(payload, ["alpha", "id", "index", "rank", "matches_baseline"], rows(), args.format, args.output)

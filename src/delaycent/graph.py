@@ -1,15 +1,15 @@
-"""Undirected weighted graphs and the matrices derived from them.
+"""Undirected weighted graphs and the Laplacian derived from them.
 
 A :class:`WeightedGraph` is the single source of truth for everything
-downstream: the Laplacian, incidence, degree, and adjacency matrices all
-come out of :func:`build_matrices`, and the canonical edge order fixed here
-defines link indexing for every report in the package.
+downstream: its canonical edge arrays define link indexing for every report
+in the package, and :func:`build_matrices` derives the Laplacian and the
+degrees from them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -23,62 +23,139 @@ class GraphParseError(GraphError):
     """Malformed edge-list text; the message names the offending line."""
 
 
-@dataclass(frozen=True)
+def _columns(edges: tuple):
+    """Endpoint and weight arrays of ``(i, j, w)`` triples up to the first
+    malformed one, and the error naming that one (None if there is none)."""
+    try:
+        rows = np.array(edges, dtype=object).reshape(len(edges), 3)
+        i, j = (np.array(col.tolist()) for col in rows[:, :2].T)
+        if i.dtype.kind in "iu" and j.dtype.kind in "iu" or not edges:
+            return i, j, rows[:, 2].astype(float), None
+    except ValueError:
+        pass
+    for p, edge in enumerate(edges):
+        try:
+            i, j, _ = edge
+        except (TypeError, ValueError):
+            return (*_columns(edges[:p])[:3], f"edge must be an (i, j, w) triple, got {edge!r}")
+        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+            return (*_columns(edges[:p])[:3], f"edge endpoints must be integers, got ({i!r}, {j!r})")
+    i, j, w = (np.array(col, dtype=object) for col in zip(*edges))
+    return i, j, w.astype(float), None
+
+
+def _canonical_edges(n: int, i, j, w, lines=None, names=None, malformed=None):
+    """Validate edges given as arrays and return them canonical: endpoints
+    ``i < j`` (intp), sorted by ``(i, j)``, with their weights.
+
+    Without ``lines`` the first edge that is a self-loop, leaves ``[0, n)``
+    or has a weight that is not finite and positive is reported, else the
+    error ``malformed`` of the triple after these edges, else the smallest
+    repeated pair.  With ``lines`` (records of an edge-list file)
+    the record on the lowest line is reported, a repeat with the line its
+    pair was first seen on.  ``names``, the ids as written for remapped
+    input, names the pair as written and ranks a repeat before a bad weight.
+    """
+    i, j, w = np.asarray(i), np.asarray(j), np.asarray(w, dtype=float)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    loop, out, bad_w = i == j, (lo < 0) | (hi >= n), ~(np.isfinite(w) & (w > 0.0))
+    key_lo, key_hi = (np.where(out, -1, x).astype(np.intp) for x in (lo, hi))
+    order = np.lexsort((key_hi, key_lo))
+    lo_s, hi_s = key_lo[order], key_hi[order]
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[1:] = (lo_s[1:] == lo_s[:-1]) & (hi_s[1:] == hi_s[:-1])
+    if lines is None:
+        bad = np.flatnonzero(loop | out | bad_w)
+        if bad.size:
+            r = bad[0]
+            if loop[r]:
+                raise GraphError(f"self-loop at node {i[r]}")
+            if out[r]:
+                raise GraphError(f"edge ({i[r]}, {j[r]}) references a node id outside [0, {n})")
+            raise GraphError(f"edge ({i[r]}, {j[r]}) has non-positive weight {float(w[r])}")
+        if malformed:
+            raise GraphError(malformed)
+        if repeat.any():
+            s = np.argmax(repeat)
+            raise GraphError(f"duplicate edge ({lo_s[s]}, {hi_s[s]})")
+        return lo_s, hi_s, w[order]
+    dup = np.zeros_like(repeat)
+    dup[order] = repeat
+    bad = np.flatnonzero(loop | out | bad_w | dup)
+    if bad.size:
+        r = bad[0]
+        a, b = (lo[r], hi[r]) if names is None else (names[i[r]], names[j[r]])
+        first = lines[np.flatnonzero((key_lo == key_lo[r]) & (key_hi == key_hi[r]))[0]]
+        faults = [
+            (loop, f"self-loop at node {a}"),
+            (out, f"node id {b} >= declared node count {n}"),
+            (bad_w, f"non-positive weight {float(w[r])}"),
+            (dup, f"duplicate edge ({a}, {b}), first seen on line {first}"),
+        ]
+        if names is not None:
+            faults[2], faults[3] = faults[3], faults[2]
+        message = next(text for mask, text in faults if mask[r])
+        raise GraphParseError(f"line {lines[r]}: {message}")
+    return lo_s, hi_s, w[order]
+
+
 class WeightedGraph:
     """Undirected, positively weighted graph over dense 0-based node ids.
 
-    Edges are canonicalized on construction: each endpoint pair is stored
-    with ``i < j`` and the edge list is sorted lexicographically by
-    ``(i, j)``.  Column ``e`` of the incidence matrix and link id ``e`` in
-    centrality reports both refer to ``edges[e]``.
+    Edges are validated and canonicalized once, on construction: endpoint
+    arrays ``i < j`` (intp) sorted lexicographically by ``(i, j)`` and the
+    weights ``w`` in the same order, all read-only.  Link id ``e`` in every
+    report refers to edge ``(i[e], j[e], w[e])``.
     """
 
-    n: int
-    edges: tuple[tuple[int, int, float], ...] = field(default=())
+    def __init__(self, n: int, edges: Iterable = ()):
+        if not isinstance(n, int) or n <= 0:
+            raise GraphError(f"node count must be a positive integer, got {n!r}")
+        i, j, w, malformed = _columns(tuple(edges))
+        self._set(n, *_canonical_edges(n, i, j, w, malformed=malformed))
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n <= 0:
-            raise GraphError(f"node count must be a positive integer, got {self.n!r}")
-        canonical = []
-        for edge in self.edges:
-            i, j, w = self._check_edge(edge)
-            canonical.append((min(i, j), max(i, j), w))
-        canonical.sort(key=lambda e: (e[0], e[1]))
-        for a, b in zip(canonical, canonical[1:]):
-            if a[:2] == b[:2]:
-                raise GraphError(f"duplicate edge ({a[0]}, {a[1]})")
-        object.__setattr__(self, "edges", tuple(canonical))
+    @classmethod
+    def from_arrays(cls, n: int, i, j, w, *, lines=None, names=None) -> "WeightedGraph":
+        """A graph from endpoint and weight arrays, validated by :func:`_canonical_edges`."""
+        graph = cls(n)
+        graph._set(n, *_canonical_edges(n, i, j, w, lines=lines, names=names))
+        return graph
 
-    def _check_edge(self, edge) -> tuple[int, int, float]:
-        try:
-            i, j, w = edge
-        except (TypeError, ValueError):
-            raise GraphError(f"edge must be an (i, j, w) triple, got {edge!r}") from None
-        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
-            raise GraphError(f"edge endpoints must be integers, got ({i!r}, {j!r})")
-        i, j, w = int(i), int(j), float(w)
-        if i == j:
-            raise GraphError(f"self-loop at node {i}")
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise GraphError(f"edge ({i}, {j}) references a node id outside [0, {self.n})")
-        if not (np.isfinite(w) and w > 0.0):
-            raise GraphError(f"edge ({i}, {j}) has non-positive weight {w}")
-        return i, j, w
+    def _set(self, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> None:
+        for array in (i, j, w):
+            array.flags.writeable = False
+        self.n, self.i, self.j, self.w = n, i, j, w
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        pairs = zip((self.i, self.j, self.w), (other.i, other.j, other.w))
+        return self.n == other.n and all(np.array_equal(a, b) for a, b in pairs)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"WeightedGraph(n={self.n}, edges={self.edges!r})"
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.w)
 
     def weights(self) -> np.ndarray:
         """Edge weights in canonical edge order."""
-        return np.array([w for _, _, w in self.edges], dtype=float)
+        return self.w.copy()
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         """Endpoint pairs (i < j) in canonical edge order."""
-        return [(i, j) for i, j, _ in self.edges]
+        return list(zip(self.i.tolist(), self.j.tolist()))
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": [[i, j, w] for i, j, w in self.edges]})
+        return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedGraph":
@@ -99,19 +176,16 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class GraphMatrices:
-    """All derived matrices of one graph, consistent by construction.
+    """The Laplacian and the degree vector of one graph.
 
-    ``laplacian == degree_diag - adjacency == incidence @ weight_diag @ incidence.T``
-    up to rounding.  Incidence column ``e`` carries +1 at the smaller
-    endpoint id and -1 at the larger one.
+    ``laplacian == diag(degrees) - A`` with ``A`` the weighted adjacency;
+    dense input matrices (incidence, degree diagonal, adjacency) are built
+    only on request, by :func:`delaycent.centrality.input_matrix`.
     """
 
     graph: WeightedGraph
     laplacian: np.ndarray
-    incidence: np.ndarray
-    weight_diag: np.ndarray
-    degree_diag: np.ndarray
-    adjacency: np.ndarray
+    degrees: np.ndarray
 
     @property
     def n(self) -> int:
@@ -123,45 +197,32 @@ class GraphMatrices:
 
 
 def build_matrices(g: WeightedGraph) -> GraphMatrices:
-    """Construct Laplacian, incidence, weight, degree, and adjacency matrices."""
-    n, m = g.n, g.num_edges
-    adjacency = np.zeros((n, n))
-    incidence = np.zeros((n, m))
-    for e, (i, j, w) in enumerate(g.edges):
-        adjacency[i, j] = adjacency[j, i] = w
-        incidence[i, e] = 1.0
-        incidence[j, e] = -1.0
-    degree_diag = np.diag(adjacency.sum(axis=1))
-    weight_diag = np.diag(g.weights()) if m else np.zeros((0, 0))
-    laplacian = degree_diag - adjacency
-    return GraphMatrices(
-        graph=g,
-        laplacian=laplacian,
-        incidence=incidence,
-        weight_diag=weight_diag,
-        degree_diag=degree_diag,
-        adjacency=adjacency,
-    )
+    """The Laplacian ``D - A`` and the degrees, filled from the edge arrays
+    into one n x n array: degrees are row sums of ``A``, then ``A`` is negated
+    in place (``+ 0.0`` keeps zeros unsigned) and takes them as its diagonal."""
+    lap = np.zeros((g.n, g.n))
+    lap[g.i, g.j] = g.w
+    lap[g.j, g.i] = g.w
+    degrees = lap.sum(axis=1)
+    np.negative(lap, out=lap)
+    lap += 0.0
+    lap[np.diag_indices(g.n)] = degrees
+    return GraphMatrices(graph=g, laplacian=lap, degrees=degrees)
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """True iff a single component spans all nodes (iterative DFS)."""
-    if g.n == 1:
-        return True
-    neighbors: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j, _ in g.edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    seen = np.zeros(g.n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in neighbors[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return bool(seen.all())
+    """True iff a single component spans all nodes, i.e. every node's label
+    reaches 0 under min-label hooking over the edges and pointer jumping."""
+    labels = np.arange(g.n)
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, g.i, labels[g.j])
+        np.minimum.at(hooked, g.j, labels[g.i])
+        while not np.array_equal(hooked, hooked[hooked]):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            return not labels.any()
+        labels = hooked
 
 
 def scale_weights(g: WeightedGraph, alpha: float) -> WeightedGraph:
@@ -169,7 +230,7 @@ def scale_weights(g: WeightedGraph, alpha: float) -> WeightedGraph:
     alpha = float(alpha)
     if not (np.isfinite(alpha) and alpha > 0.0):
         raise GraphError(f"scale factor must be positive, got {alpha}")
-    return WeightedGraph(n=g.n, edges=tuple((i, j, w * alpha) for i, j, w in g.edges))
+    return WeightedGraph.from_arrays(g.n, g.i, g.j, g.w * alpha)
 
 
 def tokenize_edge_lines(text: str | Iterable[str]):
@@ -237,25 +298,7 @@ def parse_edge_list(text: str | Iterable[str]) -> WeightedGraph:
     declared_n, records = tokenize_edge_lines(text)
     if not records and declared_n is None:
         raise GraphParseError("no edges and no n= header: empty graph is not valid")
-    max_id = max((max(i, j) for _, i, j, _ in records), default=-1)
-    n = declared_n if declared_n is not None else max_id + 1
-    seen: dict[tuple[int, int], int] = {}
-    edges = []
-    for line_no, i, j, w in records:
-        if i == j:
-            raise GraphParseError(f"line {line_no}: self-loop at node {i}")
-        if i >= n or j >= n:
-            raise GraphParseError(
-                f"line {line_no}: node id {max(i, j)} >= declared node count {n}"
-            )
-        if not (np.isfinite(w) and w > 0.0):
-            raise GraphParseError(f"line {line_no}: non-positive weight {w}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphParseError(
-                f"line {line_no}: duplicate edge ({key[0]}, {key[1]}),"
-                f" first seen on line {seen[key]}"
-            )
-        seen[key] = line_no
-        edges.append((key[0], key[1], w))
-    return WeightedGraph(n=n, edges=tuple(edges))
+    lines, i, j, w = list(zip(*records)) or [()] * 4
+    ids = np.array(i + j)
+    n = declared_n if declared_n is not None else int(ids.max(initial=-1)) + 1
+    return WeightedGraph.from_arrays(n, ids[: len(i)], ids[len(i) :], w, lines=lines)

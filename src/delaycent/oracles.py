@@ -23,7 +23,7 @@ import numpy as np
 from .centrality import NoiseStructure, input_matrix, noise_channels
 from .graph import GraphMatrices
 from .quadrature import integrate_adaptive
-from .spectral import StabilityError, check_delay, decompose, stability_margin
+from .spectral import StabilityError, check_delay, check_positive, decompose, stability_margin
 
 # Steps of pre-generated noise held in memory at a time.
 _NOISE_CHUNK = 4096
@@ -46,11 +46,9 @@ def mode_integral(lam: float, tau: float, eps_q: float = 1e-8) -> float:
     remainder is bounded below ``eps_q / 2``.  Diverges at
     ``tau * lam >= pi / 2``, which is rejected.
     """
-    if not (lam > 0):
-        raise ValueError(f"eigenvalue must be positive, got {lam}")
+    check_positive(lam, "eigenvalue")
     check_delay(tau)
-    if not (eps_q > 0):
-        raise ValueError(f"tolerance must be positive, got {eps_q}")
+    check_positive(eps_q, "tolerance eps_q")
     if tau * lam >= math.pi / 2:
         raise StabilityError(tau, math.pi / (2 * lam))
 
@@ -94,14 +92,12 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_delay(self.tau)
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        for name in ("dt", "burn_in", "horizon"):
+            check_positive(getattr(self, name), name)
         if self.tau > 0 and self.dt > self.tau / 20 * (1 + 1e-12):
             raise ValueError(
                 f"dt={self.dt:.6g} too coarse for tau={self.tau:.6g}; need dt <= tau/20"
             )
-        if not (self.burn_in > 0 and self.horizon > 0):
-            raise ValueError("burn_in and horizon must be positive")
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
         if self.scheme != "euler-maruyama":
@@ -257,8 +253,7 @@ def simulate_second_order(
     feedback on both states (velocity gain ``b_gain``) plus per-agent white
     noise.  The observed dispersion is that of the centered positions.
     """
-    if not (b_gain > 0):
-        raise ValueError(f"velocity gain must be positive, got {b_gain}")
+    check_positive(b_gain, "velocity gain")
     lap = gm.laplacian
     n = gm.n
     variances = np.asarray(variances, dtype=float)

@@ -19,7 +19,7 @@ import numpy as np
 from .graph import GraphMatrices
 from .quadrature import QuadratureError, integrate_adaptive
 from .report import CentralityReport, make_report
-from .spectral import check_delay, decompose
+from .spectral import check_delay, check_positive, decompose
 
 SECOND_ORDER_TAG = "second-order-dynamics"
 
@@ -48,11 +48,9 @@ class SecondOrderConfig:
     omega_growth: float = 2.0
 
     def __post_init__(self) -> None:
-        if not (self.b > 0):
-            raise ValueError(f"velocity gain b must be positive, got {self.b}")
+        check_positive(self.b, "velocity gain b")
         check_delay(self.tau)
-        if not (self.quad_tol > 0):
-            raise ValueError(f"quadrature tolerance must be positive, got {self.quad_tol}")
+        check_positive(self.quad_tol, "quadrature tolerance quad_tol")
         if self.panel_budget < 4 or self.omega_growth <= 1.0:
             raise ValueError("panel_budget must be >= 4 and omega_growth > 1")
 
@@ -98,10 +96,8 @@ def f_integral(
     with :class:`SecondOrderStabilityError` (the integral diverges at a
     marginally stable configuration).
     """
-    if not (lam > 0):
-        raise ValueError(f"eigenvalue must be positive, got {lam}")
-    if not (b > 0):
-        raise ValueError(f"velocity gain b must be positive, got {b}")
+    check_positive(lam, "eigenvalue")
+    check_positive(b, "velocity gain b")
     omega_max = _truncation_frequency(lam, tau, b, quad_tol, omega_growth)
     h_floor = 1e-12 * max(1.0, lam) ** 2
 
@@ -170,8 +166,7 @@ def so_node_centrality(gm: GraphMatrices, cfg: SecondOrderConfig) -> CentralityR
 
 def so_zero_delay_closed_form(gm: GraphMatrices, b: float) -> np.ndarray:
     """Delay-free second-order centrality ``(1/(2b)) diag((L^2)^+)``."""
-    if not (b > 0):
-        raise ValueError(f"velocity gain b must be positive, got {b}")
+    check_positive(b, "velocity gain b")
     dec = decompose(gm.laplacian, require_connected=True)
     lam = dec.nonzero_eigenvalues()
     q = dec.eigenvectors[:, dec.zero_mode_count :]

@@ -84,9 +84,6 @@ class SpectralKernel:
     def matrix(self) -> np.ndarray:
         return _assemble(self.decomposition.eigenvectors, self.values)
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).copy()
-
     def pinv(self) -> "SpectralKernel":
         """Spectral pseudoinverse: reciprocal where the kernel value is
         resolvably nonzero (same relative threshold as zero-mode clamping),
@@ -191,6 +188,12 @@ def check_delay(tau: float) -> None:
     """Reject a delay that is not a finite nonnegative number."""
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"delay must be finite and nonnegative, got {tau}")
+
+
+def check_positive(value: float, name: str) -> None:
+    """Reject a parameter ``name`` that is not a finite positive number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def stability_margin(dec: SpectralDecomposition, tau: float) -> StabilityInfo:

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from delaycent import WeightedGraph, build_matrices, is_connected, parse_edge_list
@@ -41,6 +42,53 @@ def random_connected_graph(rng, n, p=0.45, weight_range=(0.5, 2.0)):
         g = WeightedGraph(n=n, edges=tuple(edges))
         if is_connected(g):
             return g
+
+
+def ring_chord_graph(n, seed, mean_degree=8, weight_range=(0.5, 2.0)):
+    """Ring plus uniformly random chords up to ``mean_degree``, random weights."""
+    rng = np.random.default_rng([seed, n])
+    pairs = {(k, k + 1) for k in range(n - 1)} | {(0, n - 1)}
+    while len(pairs) < min(n * mean_degree // 2, n * (n - 1) // 2):
+        a, b = (int(x) for x in rng.integers(0, n, 2))
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    weights = rng.uniform(*weight_range, len(pairs)).tolist()
+    return WeightedGraph(n=n, edges=tuple((i, j, w) for (i, j), w in zip(sorted(pairs), weights)))
+
+
+def dense_reference(g):
+    """The dense matrices the graph layer once stored, built by its per-edge
+    loop: adjacency A, incidence E (+1 at the smaller endpoint), weight
+    diagonal W, degree diagonal D and the Laplacian D - A.  The oracle for
+    the array-backed layer and for ``input_matrix``."""
+    n, m = g.n, g.num_edges
+    adjacency = np.zeros((n, n))
+    incidence = np.zeros((n, m))
+    for e, (i, j, w) in enumerate(g.edges):
+        adjacency[i, j] = adjacency[j, i] = w
+        incidence[i, e] = 1.0
+        incidence[j, e] = -1.0
+    degree_diag = np.diag(adjacency.sum(axis=1))
+    return {
+        "adjacency": adjacency,
+        "incidence": incidence,
+        "weight_diag": np.diag(g.weights()) if m else np.zeros((0, 0)),
+        "degree_diag": degree_diag,
+        "laplacian": degree_diag - adjacency,
+    }
+
+
+def reference_input_matrix(g, name):
+    """B of a built-in structure as it was built from :func:`dense_reference`."""
+    ref = dense_reference(g)
+    return {
+        "dynamics": lambda: np.eye(g.n),
+        "sensor": lambda: ref["laplacian"].copy(),
+        "receiver": lambda: ref["degree_diag"].copy(),
+        "emitter": lambda: ref["adjacency"].copy(),
+        "comm-channel": lambda: ref["incidence"] * g.weights(),
+        "measurement": lambda: -ref["incidence"],
+    }[name]()
 
 
 @pytest.fixture

@@ -37,6 +37,7 @@ from conftest import (
     FIXTURES,
     complete_graph,
     cycle_graph,
+    dense_reference,
     random_connected_graph,
     star_graph,
 )
@@ -80,19 +81,24 @@ class TestInputMatrix:
         np.testing.assert_allclose(input_matrix(k2, SENSOR), [[1, -1], [-1, 1]])
 
     def test_comm_channel_unit_weights_is_incidence(self, triangle):
-        np.testing.assert_allclose(input_matrix(triangle, COMM_CHANNEL), triangle.incidence)
+        incidence = dense_reference(triangle.graph)["incidence"]
+        np.testing.assert_allclose(input_matrix(triangle, COMM_CHANNEL), incidence)
 
     @pytest.mark.parametrize("name", ["k2", "p3", "c4", "s5", "ex1_8n20e", "sparse9w"])
     def test_comm_channel_equals_incidence_times_weight_diag(self, name):
-        gm = build_matrices(parse_edge_list((FIXTURES / f"{name}.edges").read_text()))
-        assert np.array_equal(input_matrix(gm, COMM_CHANNEL), gm.incidence @ gm.weight_diag)
+        g = parse_edge_list((FIXTURES / f"{name}.edges").read_text())
+        ref = dense_reference(g)
+        assert np.array_equal(
+            input_matrix(build_matrices(g), COMM_CHANNEL), ref["incidence"] @ ref["weight_diag"]
+        )
 
     def test_measurement_is_negative_incidence(self, triangle):
-        np.testing.assert_allclose(input_matrix(triangle, MEASUREMENT), -triangle.incidence)
+        incidence = dense_reference(triangle.graph)["incidence"]
+        np.testing.assert_allclose(input_matrix(triangle, MEASUREMENT), -incidence)
 
     def test_receiver_and_emitter(self, p3):
         np.testing.assert_allclose(input_matrix(p3, RECEIVER), np.diag([1.0, 2.0, 1.0]))
-        np.testing.assert_allclose(input_matrix(p3, EMITTER), p3.adjacency)
+        np.testing.assert_allclose(input_matrix(p3, EMITTER), dense_reference(p3.graph)["adjacency"])
 
     def test_custom_row_count_checked(self, p3):
         bad = NoiseStructure.custom(np.ones((2, 3)), over="nodes")
@@ -214,7 +220,7 @@ class TestLinkCentrality:
             link_centrality(triangle, DYNAMICS, 0.0)
 
     def test_custom_over_links_matches_measurement(self, triangle):
-        custom = NoiseStructure.custom(-triangle.incidence, over="links")
+        custom = NoiseStructure.custom(-dense_reference(triangle.graph)["incidence"], over="links")
         rep = link_centrality(triangle, custom, 0.15)
         ref = link_centrality(triangle, MEASUREMENT, 0.15)
         np.testing.assert_allclose(rep.indices, ref.indices, rtol=1e-12)
@@ -345,7 +351,7 @@ class TestEmitter:
             dec = decompose(gm.laplacian, require_connected=True)
             tau = 0.4 * math.pi / (2 * dec.lambda_max)
             rep = node_centrality(gm, EMITTER, tau)
-            degrees = np.diag(gm.degree_diag)
+            degrees = np.diag(dense_reference(gm.graph)["degree_diag"])
             k = centrality_kernel(dec, tau).matrix
             kl = k @ gm.laplacian
             l2k = gm.laplacian @ gm.laplacian @ k
@@ -360,8 +366,8 @@ class TestEmitter:
         from delaycent.spectral import kernel
 
         c = kernel(dec, lambda lam: np.cos(tau * lam) / (1.0 - np.sin(tau * lam)))
-        degrees = np.diag(p3.degree_diag)
-        gap = 0.5 * degrees * c.diagonal()
+        degrees = np.diag(dense_reference(p3.graph)["degree_diag"])
+        gap = 0.5 * degrees * np.diag(c.matrix)
         np.testing.assert_allclose(
             diag.simplified_display - diag.generic, gap, rtol=1e-10
         )

@@ -217,6 +217,26 @@ class TestExitCodes:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["second-order", "--b", "inf"], "velocity gain b"),
+            (["second-order", "--b", "nan"], "velocity gain b"),
+            (["second-order", "--b", "1.0", "--quad-tol", "inf"], "quad_tol"),
+            (["second-order", "--b", "1.0", "--quad-tol", "nan"], "quad_tol"),
+            (["simulate", "--structure", "dynamics", "--tau", "0", "--dt", "inf"], "dt"),
+            (["simulate", "--structure", "dynamics", "--tau", "0", "--horizon", "inf"], "horizon"),
+            (["simulate", "--structure", "dynamics", "--tau", "0", "--burn-in", "inf"], "burn_in"),
+            (["verify", "--structure", "dynamics", "--tau", "0", "--horizon", "nan"], "horizon"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_non_finite_parameter_exit_2(self, argv, name, capsys):
+        code = run([*argv, "--graph", str(FIXTURES / "k2.edges")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{name} must be finite and positive" in err
+
 
 class TestOneDecomposition:
     @pytest.mark.parametrize(
