@@ -61,11 +61,9 @@ from .spectral import (
     DisconnectedGraphError,
     SpectralDecomposition,
     SpectralError,
-    SpectralKernel,
     StabilityError,
     StabilityInfo,
     decompose,
-    edge_quadratic_form,
     kernel,
     stability_margin,
 )

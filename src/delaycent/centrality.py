@@ -19,11 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import GraphError, GraphMatrices
+from .graph import GraphMatrices, check_scale
 from .report import CentralityReport, make_report
 from .spectral import (
     SpectralDecomposition,
-    SpectralKernel,
     StabilityError,
     StabilityInfo,
     decompose,
@@ -180,8 +179,8 @@ def _stable_decomposition(gm: GraphMatrices, tau: float) -> tuple[SpectralDecomp
     return dec, info
 
 
-def centrality_kernel(dec: SpectralDecomposition, tau: float) -> SpectralKernel:
-    """K = L^+ cos(tau L) (M_n - sin(tau L))^+, evaluated spectrally."""
+def centrality_kernel(dec: SpectralDecomposition, tau: float) -> np.ndarray:
+    """Values of K = L^+ cos(tau L) (M_n - sin(tau L))^+ per mode, zero modes 0."""
     return kernel(dec, lambda lam: np.cos(tau * lam) / (lam * (1.0 - np.sin(tau * lam))))
 
 
@@ -207,32 +206,45 @@ def _performance(gm: GraphMatrices, dec: SpectralDecomposition, spec: NoiseSpec,
     return float(power[dec.zero_mode_count :] @ per_mode)
 
 
-def _edge_forms(gm: GraphMatrices, k: np.ndarray) -> np.ndarray:
-    """:func:`edge_quadratic_form` of ``k`` over every edge, in canonical edge order."""
-    i, j = gm.graph.i, gm.graph.j
-    diag = np.diagonal(k)
-    return diag[i] + diag[j] - 2.0 * k[i, j]
+# Edges per block of the link modal power: bounds its memory to block x n.
+_EDGE_BLOCK = 256
 
 
 def _modal_power(
-    gm: GraphMatrices, dec: SpectralDecomposition, structure: NoiseStructure, alpha: float
+    gm: GraphMatrices, dec: SpectralDecomposition, structure: NoiseStructure, gs: list, alpha: float
 ) -> np.ndarray:
-    """``(Q^T B)^2`` over the nonzero modes, one row per noise channel, with
-    every weight scaled by ``alpha``.  Built-in structures need no dense B:
-    column i of ``Q^T B`` is row i of Q times 1, lam, d_i or d_i - lam (A = D - L)."""
+    """``(Q^T B)^2 g`` over the nonzero modes for each vector g of kernel values
+    in ``gs``: one row per g, one column per noise channel, with every weight
+    scaled by ``alpha``.  Built-in structures need no dense B: column i of
+    ``Q^T B`` is row i of Q times 1, lam, d_i or d_i - lam (A = D - L), and a
+    built-in link column is ``q_i - q_j`` up to the channel scale, squared
+    ``_EDGE_BLOCK`` edges at a time with one product per g per block."""
     q = dec.eigenvectors[:, dec.zero_mode_count :]
+    gs = [g[dec.zero_mode_count :] for g in gs]
     tag = structure.tag
-    if tag is StructureTag.CUSTOM:
-        return (input_matrix(gm, structure).T @ q) ** 2
-    if tag is StructureTag.DYNAMICS:
-        return q**2
+    if tag in _LINK_TAGS:
+        out = np.empty((len(gs), gm.num_edges))
+        for start in range(0, gm.num_edges, _EDGE_BLOCK):
+            rows = slice(start, start + _EDGE_BLOCK)
+            d = q[gm.graph.i[rows]]
+            d -= q[gm.graph.j[rows]]
+            d *= d
+            for k, g in enumerate(gs):
+                out[k, rows] = d @ g
+        return out
     lam = dec.nonzero_eigenvalues()
-    if tag is StructureTag.SENSOR:
-        return (q * lam) ** 2
     degrees = alpha * gm.degrees[:, None]
-    if tag is StructureTag.RECEIVER:
-        return (degrees * q) ** 2
-    return (q * (degrees - lam)) ** 2
+    if tag is StructureTag.CUSTOM:
+        power = (input_matrix(gm, structure).T @ q) ** 2
+    elif tag is StructureTag.DYNAMICS:
+        power = q**2
+    elif tag is StructureTag.SENSOR:
+        power = (q * lam) ** 2
+    elif tag is StructureTag.RECEIVER:
+        power = (degrees * q) ** 2
+    else:
+        power = (q * (degrees - lam)) ** 2
+    return np.array([power @ g for g in gs])
 
 
 def _reports(
@@ -244,23 +256,24 @@ def _reports(
 ) -> list[CentralityReport]:
     """Centrality at each delay from one decomposition ``dec`` of the graph
     with every weight scaled by ``alpha``; all delays are checked first.
-    Built-in link structures gather ``K_ii + K_jj - 2 K_ij`` from the n x n
-    kernel of each delay; all others contract ``(1/2) (Q^T B)^2 g``."""
+    Every structure contracts ``(1/2) s^2 (Q^T B)^2 g`` with the kernel values
+    g of each delay; the channel scale s is ``alpha w_e`` for the
+    communication channel and 1 otherwise."""
     infos = [stability_margin(dec, t) for t in taus]
     for t, info in zip(taus, infos):
         if not info.stable:
             raise StabilityError(t, info.tau_max)
-    if structure.tag in _LINK_TAGS:
-        comm = structure.tag is StructureTag.COMM_CHANNEL
-        scale = 0.5 * (alpha * gm.graph.w if comm else 1.0) ** 2
-        indices = lambda tau: scale * _edge_forms(gm, centrality_kernel(dec, tau).matrix)
-    else:
-        power, z = _modal_power(gm, dec, structure, alpha), dec.zero_mode_count
-        indices = lambda tau: 0.5 * (power @ centrality_kernel(dec, tau).values[z:])
+    comm = structure.tag is StructureTag.COMM_CHANNEL
+    scale = 0.5 * (alpha * gm.graph.w) ** 2 if comm else 0.5
+    indices = scale * _modal_power(gm, dec, structure, [centrality_kernel(dec, t) for t in taus], alpha)
     return [
-        make_report(t, structure.name, indices(t), info.tau_max, info.margin)
-        for t, info in zip(taus, infos)
+        make_report(t, structure.name, x, info.tau_max, info.margin)
+        for t, x, info in zip(taus, indices, infos)
     ]
+
+
+def _single_report(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
+    return _reports(gm, decompose(gm.laplacian, require_connected=True), structure, [tau])[0]
 
 
 def node_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
@@ -269,7 +282,7 @@ def node_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) ->
         raise ValueError(
             f"node centrality needs an agent-indexed structure, got {structure.name}"
         )
-    return _reports(gm, decompose(gm.laplacian, require_connected=True), structure, [tau])[0]
+    return _single_report(gm, structure, tau)
 
 
 def link_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
@@ -278,7 +291,7 @@ def link_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) ->
         raise ValueError(
             f"link centrality needs a link-indexed structure, got {structure.name}"
         )
-    return _reports(gm, decompose(gm.laplacian, require_connected=True), structure, [tau])[0]
+    return _single_report(gm, structure, tau)
 
 
 def centrality_report(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
@@ -311,7 +324,8 @@ def _link_sensitivity(
         raise ValueError(
             f"link sensitivity is defined for dynamics and sensor noise, got {structure.name}"
         )
-    return 0.5 * _edge_forms(gm, kernel(dec, g).matrix)
+    # Measurement rows of (Q^T B)^2 are the bare (q_i - q_j)^2 of each edge.
+    return 0.5 * _modal_power(gm, dec, MEASUREMENT, [kernel(dec, g)], 1.0)[0]
 
 
 def _order_signs(report: CentralityReport) -> np.ndarray:
@@ -381,12 +395,9 @@ def scale_sweep(
 
     Scaling keeps the eigenvectors and maps lam to alpha * lam, so the
     unscaled decomposition serves every alpha."""
-    alphas = tuple(float(a) for a in alphas)
+    alphas = tuple(check_scale(a) for a in alphas)
     if not alphas:
         raise ValueError("scale grid is empty")
-    for alpha in alphas:
-        if not (np.isfinite(alpha) and alpha > 0.0):
-            raise GraphError(f"scale factor must be positive, got {alpha}")
     dec = decompose(gm.laplacian, require_connected=True)
     baseline = _reports(gm, dec, structure, [0.0])[0]
     reports = [
@@ -463,7 +474,7 @@ def emitter_display_diagnostic(gm: GraphMatrices, tau: float) -> EmitterDiagnost
     k = centrality_kernel(dec, tau)
     c = kernel(dec, lambda lam: np.cos(tau * lam) / (1.0 - np.sin(tau * lam)))  # K L
     lc = kernel(dec, lambda lam: lam * np.cos(tau * lam) / (1.0 - np.sin(tau * lam)))  # L^2 K
-    simplified = 0.5 * (degrees**2 * (q2 @ k.values) - degrees * (q2 @ c.values) + q2 @ lc.values)
+    simplified = 0.5 * (degrees**2 * (q2 @ k) - degrees * (q2 @ c) + q2 @ lc)
     return EmitterDiagnostic(
         generic=generic,
         simplified_display=simplified,

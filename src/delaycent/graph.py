@@ -225,12 +225,17 @@ def is_connected(g: WeightedGraph) -> bool:
         labels = hooked
 
 
-def scale_weights(g: WeightedGraph, alpha: float) -> WeightedGraph:
-    """Multiply every edge weight by ``alpha`` > 0; topology unchanged."""
+def check_scale(alpha: float) -> float:
+    """``alpha`` as a float; a GraphError unless it is finite and positive."""
     alpha = float(alpha)
     if not (np.isfinite(alpha) and alpha > 0.0):
         raise GraphError(f"scale factor must be positive, got {alpha}")
-    return WeightedGraph.from_arrays(g.n, g.i, g.j, g.w * alpha)
+    return alpha
+
+
+def scale_weights(g: WeightedGraph, alpha: float) -> WeightedGraph:
+    """Multiply every edge weight by ``alpha`` > 0; topology unchanged."""
+    return WeightedGraph.from_arrays(g.n, g.i, g.j, g.w * check_scale(alpha))
 
 
 def tokenize_edge_lines(text: str | Iterable[str]):

@@ -1,8 +1,9 @@
-"""Eigendecomposition of graph Laplacians and spectral matrix functions.
+"""Eigendecomposition of graph Laplacians and spectral kernel values.
 
 Every formula in this package is diagonal in the Laplacian eigenbasis, so
-matrix functions (cos, sin, pseudoinverses, composite kernels) are realized
-by applying a scalar map to the eigenvalues and reassembling.  For the
+a kernel (cos, sin, pseudoinverses and their composites) is a scalar map
+applied to the eigenvalues, and an index contracts those values with
+squared modal coordinates; no n x n kernel matrix is ever formed.  For the
 symmetric PSD matrices we deal with this is exact up to eigensolver error;
 no series summation or rational approximation is involved.
 """
@@ -11,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-# Relative threshold below which an eigenvalue counts as a zero mode; the
-# same relative rule defines which kernel values are invertible.  Relative
-# (not absolute) so that uniform weight scaling does not change mode counts.
+# Relative threshold below which an eigenvalue counts as a zero mode.
+# Relative (not absolute) so that uniform weight scaling does not change
+# mode counts.
 ZERO_REL_TOL = 1e-9
 
 # A delay is only accepted as stable if it clears the boundary by this much.
@@ -69,32 +69,6 @@ class SpectralDecomposition:
         return self.eigenvalues[self.zero_mode_count :]
 
 
-@dataclass(frozen=True)
-class SpectralKernel:
-    """A scalar map applied to nonzero eigenvalues, zero pinned on zero modes.
-
-    ``matrix`` is ``Q diag(values) Q^T``, assembled on first use; it is symmetric,
-    annihilates the consensus direction, and commutes with the decomposed matrix.
-    """
-
-    decomposition: SpectralDecomposition
-    values: np.ndarray
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return _assemble(self.decomposition.eigenvectors, self.values)
-
-    def pinv(self) -> "SpectralKernel":
-        """Spectral pseudoinverse: reciprocal where the kernel value is
-        resolvably nonzero (same relative threshold as zero-mode clamping),
-        zero otherwise."""
-        scale = max(1.0, float(np.max(np.abs(self.values)))) if self.values.size else 1.0
-        inv = np.zeros_like(self.values)
-        mask = np.abs(self.values) > ZERO_REL_TOL * scale
-        inv[mask] = 1.0 / self.values[mask]
-        return SpectralKernel(self.decomposition, inv)
-
-
 def decompose(matrix: np.ndarray, require_connected: bool = False) -> SpectralDecomposition:
     """Symmetric eigendecomposition with zero-mode clamping.
 
@@ -121,20 +95,19 @@ def decompose(matrix: np.ndarray, require_connected: bool = False) -> SpectralDe
         eigenvalues=clamped, eigenvectors=eigenvectors, zero_mode_count=zero_modes
     )
     if require_connected and zero_modes != 1:
+        lam2 = float(eigenvalues[min(1, dec.n - 1)])
         raise DisconnectedGraphError(
             f"expected exactly one zero mode, found {zero_modes}: graph is disconnected"
+            f" or too weakly connected to resolve (raw lambda_2 = {lam2:.3e},"
+            f" lambda_max = {lam_max:.6g}; eigenvalues under ZERO_REL_TOL * max(1,"
+            f" lambda_max) = {tol:.3e} count as zero)"
         )
     return dec
 
 
-def _assemble(q: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Q diag(values) Q^T, symmetrized to kill last-ulp rounding asymmetry."""
-    m = (q * values) @ q.T
-    return 0.5 * (m + m.T)
-
-
-def kernel(dec: SpectralDecomposition, g: Callable[[np.ndarray], np.ndarray]) -> SpectralKernel:
-    """Apply scalar map ``g`` to the nonzero eigenvalues; zero modes pinned to 0."""
+def kernel(dec: SpectralDecomposition, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Kernel values: the scalar map ``g`` on the nonzero eigenvalues, one
+    value per mode in eigenvalue order, with zero modes pinned to 0."""
     values = np.zeros(dec.n)
     nz = dec.nonzero_eigenvalues()
     if nz.size:
@@ -149,30 +122,7 @@ def kernel(dec: SpectralDecomposition, g: Callable[[np.ndarray], np.ndarray]) ->
             lam = float(nz[np.argmax(bad)])
             raise SpectralError(f"kernel map is not finite at eigenvalue {lam:.6g}")
         values[dec.zero_mode_count :] = mapped
-    return SpectralKernel(dec, values)
-
-
-def matrix_function(dec: SpectralDecomposition, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Matrix function over the full spectrum (zero modes included)."""
-    values = np.asarray(g(dec.eigenvalues), dtype=float)
-    if not np.isfinite(values).all():
-        raise SpectralError("matrix function is not finite at some eigenvalue")
-    return _assemble(dec.eigenvectors, values)
-
-
-def cos_lap(dec: SpectralDecomposition, tau: float) -> np.ndarray:
-    """cos(tau * L); equals the identity on the consensus mode."""
-    return matrix_function(dec, lambda lam: np.cos(tau * lam))
-
-
-def sin_lap(dec: SpectralDecomposition, tau: float) -> np.ndarray:
-    """sin(tau * L); vanishes on the consensus mode."""
-    return matrix_function(dec, lambda lam: np.sin(tau * lam))
-
-
-def centering_matrix(n: int) -> np.ndarray:
-    """I - (1/n) * ones; projects out the network average."""
-    return np.eye(n) - np.full((n, n), 1.0 / n)
+    return values
 
 
 @dataclass(frozen=True)
@@ -211,18 +161,3 @@ def stability_margin(dec: SpectralDecomposition, tau: float) -> StabilityInfo:
     tau_max = math.pi / (2.0 * lam_max) if lam_max > 0 else math.inf
     margin = tau_max - tau
     return StabilityInfo(tau_max=tau_max, margin=margin, stable=tau < tau_max - STABILITY_SLACK)
-
-
-def edge_quadratic_form(m, e: tuple[int, int]) -> float:
-    """``M_ii + M_jj - 2 M_ij`` for the endpoints of an edge.
-
-    Passing the Laplacian pseudoinverse recovers the classic effective
-    resistance between the endpoints; passing one of the delay kernels gives
-    the generalized per-link quadratic forms the link formulas use.
-    """
-    matrix = m.matrix if isinstance(m, SpectralKernel) else np.asarray(m, dtype=float)
-    i, j = int(e[0]), int(e[1])
-    n = matrix.shape[0]
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"invalid edge ({i}, {j}) for a {n}-node matrix")
-    return float(matrix[i, i] + matrix[j, j] - 2.0 * matrix[i, j])

@@ -91,6 +91,31 @@ def reference_input_matrix(g, name):
     }[name]()
 
 
+def assemble(dec, values):
+    """Q diag(values) Q^T, symmetrized to kill last-ulp rounding asymmetry:
+    the dense kernel matrix that the package contracts away.  The oracle for
+    kernel values and modal contractions."""
+    q = dec.eigenvectors
+    m = (q * values) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def centering_matrix(n):
+    """I - (1/n) * ones; projects out the network average."""
+    return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def edge_quadratic_form(matrix, e):
+    """``M_ii + M_jj - 2 M_ij`` for the endpoints of an edge: the effective
+    resistance for the Laplacian pseudoinverse, the per-link quadratic form
+    of the link formulas for a delay kernel."""
+    i, j = int(e[0]), int(e[1])
+    n = matrix.shape[0]
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"invalid edge ({i}, {j}) for a {n}-node matrix")
+    return float(matrix[i, i] + matrix[j, j] - 2.0 * matrix[i, j])
+
+
 @pytest.fixture
 def k2():
     return build_matrices(parse_edge_list("0 1"))
@@ -133,6 +158,12 @@ def shared_neighbors():
     """Nodes 0 and 1 share the neighbor set {2, 3} and are not adjacent,
     so the swap (0 1) is a graph automorphism."""
     return build_matrices(graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+
+
+@pytest.fixture
+def ring_chord100():
+    """m = 400 edges: one full 256-edge block of the link contraction and a partial one."""
+    return build_matrices(ring_chord_graph(100, 5))
 
 
 @pytest.fixture

@@ -38,6 +38,7 @@ from delaycent import (
 from delaycent.centrality import centrality_kernel, centrality_report, noise_channels
 
 from conftest import (
+    assemble,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -321,7 +322,7 @@ def test_criterion_11_emitter_cross_check():
         rep = node_centrality(gm, EMITTER, tau)
         dec = decompose(gm.laplacian, require_connected=True)
         degrees = gm.degrees
-        k = centrality_kernel(dec, tau).matrix
+        k = assemble(dec, centrality_kernel(dec, tau))
         kl = k @ gm.laplacian
         l2k = gm.laplacian @ gm.laplacian @ k
         hand = 0.5 * (degrees**2 * np.diag(k) - 2 * degrees * np.diag(kl) + np.diag(l2k))

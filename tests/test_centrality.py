@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,14 +32,18 @@ from delaycent import (
     tau_sweep,
 )
 from delaycent import centrality as centrality_module
+from delaycent.spectral import kernel
 from delaycent.centrality import centrality_kernel, centrality_report, noise_channels
 
 from conftest import (
     FIXTURES,
+    assemble,
     complete_graph,
     cycle_graph,
     dense_reference,
+    edge_quadratic_form,
     random_connected_graph,
+    ring_chord_graph,
     star_graph,
 )
 
@@ -49,7 +54,7 @@ LINK_STRUCTURES = (COMM_CHANNEL, MEASUREMENT)
 def generic_half_diag(gm, structure, tau):
     """Reference (1/2) diag(B^T K B) computed the blunt way."""
     dec = decompose(gm.laplacian, require_connected=True)
-    k = centrality_kernel(dec, tau).matrix
+    k = assemble(dec, centrality_kernel(dec, tau))
     b = input_matrix(gm, structure)
     return 0.5 * np.diag(b.T @ k @ b)
 
@@ -352,7 +357,7 @@ class TestEmitter:
             tau = 0.4 * math.pi / (2 * dec.lambda_max)
             rep = node_centrality(gm, EMITTER, tau)
             degrees = np.diag(dense_reference(gm.graph)["degree_diag"])
-            k = centrality_kernel(dec, tau).matrix
+            k = assemble(dec, centrality_kernel(dec, tau))
             kl = k @ gm.laplacian
             l2k = gm.laplacian @ gm.laplacian @ k
             hand = 0.5 * (degrees**2 * np.diag(k) - 2 * degrees * np.diag(kl) + np.diag(l2k))
@@ -363,14 +368,73 @@ class TestEmitter:
         diag = emitter_display_diagnostic(p3, tau)
         assert diag.max_abs_diff > 1e-3
         dec = decompose(p3.laplacian, require_connected=True)
-        from delaycent.spectral import kernel
-
         c = kernel(dec, lambda lam: np.cos(tau * lam) / (1.0 - np.sin(tau * lam)))
         degrees = np.diag(dense_reference(p3.graph)["degree_diag"])
-        gap = 0.5 * degrees * np.diag(c.matrix)
+        gap = 0.5 * degrees * np.diag(assemble(dec, c))
         np.testing.assert_allclose(
             diag.simplified_display - diag.generic, gap, rtol=1e-10
         )
+
+
+def dense_edge_forms(gm, dec, values):
+    """``(e_i - e_j)^T K (e_i - e_j)`` per edge, K assembled as an n x n matrix."""
+    k = assemble(dec, values)
+    return np.array([edge_quadratic_form(k, e) for e in gm.graph.edge_pairs()])
+
+
+SENSITIVITY_MAPS = {
+    "dynamics": lambda tau: lambda lam: (tau * lam - np.cos(tau * lam))
+    / (lam**2 * (1.0 - np.sin(tau * lam))),
+    "sensor": lambda tau: lambda lam: (tau * lam + np.cos(tau * lam)) / (1.0 - np.sin(tau * lam)),
+}
+
+
+class TestEdgeBlocks:
+    """Link indices and sensitivities contract ``(q_i - q_j)^2`` over blocks of
+    edges; ``ring_chord100`` spans a full block and a partial one."""
+
+    def test_link_centrality_matches_dense_kernel(self, ring_chord100):
+        gm = ring_chord100
+        assert centrality_module._EDGE_BLOCK < gm.num_edges < 2 * centrality_module._EDGE_BLOCK
+        dec = decompose(gm.laplacian, require_connected=True)
+        tau = 0.6 * math.pi / (2 * dec.lambda_max)
+        forms = dense_edge_forms(gm, dec, centrality_kernel(dec, tau))
+        w = gm.graph.w
+        custom = NoiseStructure.custom(input_matrix(gm, COMM_CHANNEL), over="links")
+        for structure, s in ((MEASUREMENT, 1.0), (COMM_CHANNEL, w), (custom, w)):
+            nu = link_centrality(gm, structure, tau).indices
+            np.testing.assert_allclose(nu, 0.5 * s**2 * forms, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("structure", [DYNAMICS, SENSOR])
+    def test_link_sensitivity_matches_dense_kernel(self, ring_chord100, structure):
+        gm = ring_chord100
+        dec = decompose(gm.laplacian, require_connected=True)
+        tau = 0.6 * math.pi / (2 * dec.lambda_max)
+        ref = 0.5 * dense_edge_forms(gm, dec, kernel(dec, SENSITIVITY_MAPS[structure.name](tau)))
+        kappa = link_sensitivity(gm, structure, tau)
+        np.testing.assert_allclose(kappa, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("structure", [MEASUREMENT, COMM_CHANNEL, DYNAMICS, SENSOR])
+    def test_peak_memory_is_a_few_edge_blocks(self, structure, monkeypatch):
+        # In the style of the GraphMatrices byte guard: an n x n kernel would
+        # take 2 n^2 * 8 bytes, 25 block units here.
+        block = 16
+        monkeypatch.setattr(centrality_module, "_EDGE_BLOCK", block)
+        gm = build_matrices(ring_chord_graph(200, 3))
+        dec = decompose(gm.laplacian, require_connected=True)
+        tau = 0.5 * math.pi / (2 * dec.lambda_max)
+        if structure.indexes_links:
+            run = lambda: centrality_module._reports(gm, dec, structure, [tau])
+        else:
+            run = lambda: centrality_module._link_sensitivity(gm, dec, structure, tau)
+        run()  # outside the window: one-time allocations are not per-call memory
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * block * gm.n * 8
 
 
 class TestTauSweep:
@@ -455,17 +519,19 @@ def brute_force_flips(reports):
     flips = []
     for k in range(len(reports) - 1):
         a, b = reports[k], reports[k + 1]
+        tol_a, tol_b = a.rank_tol(), b.rank_tol()
+        x, y = a.indices.tolist(), b.indices.tolist()
         for i in range(a.size):
             for j in range(i + 1, a.size):
-                sa = pair_sign(a.indices[i], a.indices[j], a.rank_tol())
-                sb = pair_sign(b.indices[i], b.indices[j], b.rank_tol())
+                sa = pair_sign(x[i], x[j], tol_a)
+                sb = pair_sign(y[i], y[j], tol_b)
                 if sa * sb == -1:
                     flips.append((k, i, j) if sa > 0 else (k, j, i))
     return flips
 
 
 class TestSweepSharedDecomposition:
-    @pytest.mark.parametrize("graph", ["ex1_graph", "c4", "star5"])
+    @pytest.mark.parametrize("graph", ["ex1_graph", "c4", "star5", "ring_chord100"])
     def test_tau_sweep_points_equal_single_calls(self, graph, request):
         gm = request.getfixturevalue(graph)
         rng = np.random.default_rng(61)

@@ -184,6 +184,20 @@ class TestExitCodes:
         assert code == 3
         assert "disconnected" in err
 
+    def test_weakly_connected_exit_3_names_resolution(self, tmp_path):
+        # Connected, but lambda_2 ~ 5e-11 falls under the zero-mode resolution.
+        weak = tmp_path / "weak.edges"
+        weak.write_text("0 1 1\n1 2 1e-10\n2 3 1\n")
+        from delaycent import is_connected, parse_edge_list
+
+        assert is_connected(parse_edge_list(weak.read_text()))
+        code, _, err = invoke(
+            "centrality", "--graph", str(weak), "--structure", "dynamics", "--tau", "0"
+        )
+        assert code == 3
+        assert "disconnected or too weakly connected to resolve" in err
+        assert "raw lambda_2 = " in err and "lambda_max = " in err and "ZERO_REL_TOL" in err
+
     def test_numeric_failure_exit_4(self, tmp_path):
         # lam = 0.5 with tau = pi/3, b = sqrt(3) puts a zero of the
         # second-order denominator kernel on the frequency axis.

@@ -8,14 +8,12 @@ from delaycent import (
     SpectralError,
     build_matrices,
     decompose,
-    edge_quadratic_form,
     kernel,
     parse_edge_list,
     stability_margin,
 )
-from delaycent.spectral import centering_matrix, cos_lap, matrix_function, sin_lap
 
-from conftest import random_connected_graph
+from conftest import assemble, centering_matrix, edge_quadratic_form, random_connected_graph
 
 
 class TestDecompose:
@@ -92,44 +90,48 @@ class TestDecompose:
         perm = np.array([2, 0, 3, 1])
         p = np.eye(4)[perm]
         dec_p = decompose(p @ c4.laplacian @ p.T)
-        k = kernel(dec, lambda lam: 1.0 / lam).matrix
-        k_p = kernel(dec_p, lambda lam: 1.0 / lam).matrix
+        k = assemble(dec, kernel(dec, lambda lam: 1.0 / lam))
+        k_p = assemble(dec_p, kernel(dec_p, lambda lam: 1.0 / lam))
         assert np.max(np.abs(p @ k @ p.T - k_p)) <= 1e-10
 
 
 class TestKernel:
     def test_pseudoinverse_k2(self, k2):
         dec = decompose(k2.laplacian)
-        k = kernel(dec, lambda lam: 1.0 / lam)
-        assert k.matrix[0, 0] == pytest.approx(0.25, abs=1e-12)
-        np.testing.assert_allclose(k.matrix, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12)
+        values = kernel(dec, lambda lam: 1.0 / lam)
+        np.testing.assert_allclose(values, [0.0, 0.5], atol=1e-12)
+        k = assemble(dec, values)
+        assert k[0, 0] == pytest.approx(0.25, abs=1e-12)
+        np.testing.assert_allclose(k, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12)
 
     def test_constant_map_gives_centering(self, p3):
         dec = decompose(p3.laplacian)
-        k = kernel(dec, lambda lam: np.ones_like(lam))
-        np.testing.assert_allclose(k.matrix, centering_matrix(3), atol=1e-9)
+        k = assemble(dec, kernel(dec, lambda lam: np.ones_like(lam)))
+        np.testing.assert_allclose(k, centering_matrix(3), atol=1e-9)
 
     def test_identity_map_reconstructs(self, triangle_123):
         dec = decompose(triangle_123.laplacian)
-        k = kernel(dec, lambda lam: lam)
-        np.testing.assert_allclose(k.matrix, triangle_123.laplacian, atol=1e-9)
+        k = assemble(dec, kernel(dec, lambda lam: lam))
+        np.testing.assert_allclose(k, triangle_123.laplacian, atol=1e-9)
 
     def test_annihilates_consensus_and_commutes(self):
         rng = np.random.default_rng(21)
         gm = build_matrices(random_connected_graph(rng, 8))
         dec = decompose(gm.laplacian)
-        k = kernel(dec, lambda lam: np.cos(0.1 * lam) / lam)
-        assert np.max(np.abs(k.matrix @ np.ones(8))) <= 1e-9
-        assert np.max(np.abs(k.matrix - k.matrix.T)) == 0.0
-        comm = k.matrix @ gm.laplacian - gm.laplacian @ k.matrix
+        k = assemble(dec, kernel(dec, lambda lam: np.cos(0.1 * lam) / lam))
+        assert np.max(np.abs(k @ np.ones(8))) <= 1e-9
+        assert np.max(np.abs(k - k.T)) == 0.0
+        comm = k @ gm.laplacian - gm.laplacian @ k
         assert np.max(np.abs(comm)) <= 1e-9
 
     def test_pinv_identity(self, p3):
         dec = decompose(p3.laplacian)
-        lpinv = kernel(dec, lambda lam: 1.0 / lam)
-        product = lpinv.matrix @ p3.laplacian
+        values = kernel(dec, lambda lam: 1.0 / lam)
+        product = assemble(dec, values) @ p3.laplacian
         np.testing.assert_allclose(product, centering_matrix(3), atol=1e-9)
-        np.testing.assert_allclose(lpinv.pinv().matrix, p3.laplacian, atol=1e-9)
+        inverse = np.zeros_like(values)
+        inverse[values != 0.0] = 1.0 / values[values != 0.0]
+        np.testing.assert_allclose(assemble(dec, inverse), p3.laplacian, atol=1e-9)
 
     def test_kernel_product_rule(self):
         rng = np.random.default_rng(5)
@@ -137,8 +139,8 @@ class TestKernel:
         dec = decompose(gm.laplacian)
         g1 = lambda lam: 1.0 / lam
         g2 = lambda lam: np.sin(0.2 * lam)
-        left = kernel(dec, g1).matrix @ kernel(dec, g2).matrix
-        right = kernel(dec, lambda lam: g1(lam) * g2(lam)).matrix
+        left = assemble(dec, kernel(dec, g1)) @ assemble(dec, kernel(dec, g2))
+        right = assemble(dec, kernel(dec, lambda lam: g1(lam) * g2(lam)))
         assert np.max(np.abs(left - right)) <= 1e-9
 
     def test_non_finite_map_reports_eigenvalue(self, p3):
@@ -151,14 +153,18 @@ class TestKernel:
         gm = build_matrices(random_connected_graph(rng, 7))
         dec = decompose(gm.laplacian)
         tau = 0.3 / dec.lambda_max * (math.pi / 2)
-        c, s = cos_lap(dec, tau), sin_lap(dec, tau)
+        c = assemble(dec, np.cos(tau * dec.eigenvalues))
+        s = assemble(dec, np.sin(tau * dec.eigenvalues))
         assert np.max(np.abs(c @ c + s @ s - np.eye(7))) <= 1e-9
 
     def test_matrix_function_keeps_zero_mode(self, k2):
         dec = decompose(k2.laplacian)
-        c = matrix_function(dec, np.cos)
+        c = assemble(dec, np.cos(dec.eigenvalues))
         # cos(0) = 1 on the consensus mode: row sums are cos(0) = 1.
         np.testing.assert_allclose(c @ np.ones(2), np.ones(2), atol=1e-12)
+        # kernel() pins the same mode to 0: its rows sum to 0 instead.
+        k = assemble(dec, kernel(dec, np.cos))
+        np.testing.assert_allclose(k @ np.ones(2), np.zeros(2), atol=1e-12)
 
 
 class TestStabilityMargin:
@@ -191,13 +197,13 @@ class TestStabilityMargin:
 class TestEdgeQuadraticForm:
     def test_triangle_resistance(self, triangle):
         dec = decompose(triangle.laplacian)
-        lpinv = kernel(dec, lambda lam: 1.0 / lam)
+        lpinv = assemble(dec, kernel(dec, lambda lam: 1.0 / lam))
         for pair in triangle.graph.edge_pairs():
             assert edge_quadratic_form(lpinv, pair) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_tree_edge_resistance_is_one(self, star5):
         dec = decompose(star5.laplacian)
-        lpinv = kernel(dec, lambda lam: 1.0 / lam)
+        lpinv = assemble(dec, kernel(dec, lambda lam: 1.0 / lam))
         for pair in star5.graph.edge_pairs():
             assert edge_quadratic_form(lpinv, pair) == pytest.approx(1.0, abs=1e-12)
 
@@ -216,7 +222,8 @@ class TestEdgeQuadraticForm:
         for n in range(3, 7):
             for _ in range(6):
                 gm = build_matrices(random_connected_graph(rng, n))
-                lpinv = kernel(decompose(gm.laplacian), lambda lam: 1.0 / lam)
+                dec = decompose(gm.laplacian)
+                lpinv = assemble(dec, kernel(dec, lambda lam: 1.0 / lam))
                 r = np.zeros((n, n))
                 for i in range(n):
                     for j in range(n):
