@@ -328,41 +328,50 @@ def _link_sensitivity(
     return 0.5 * _modal_power(gm, dec, MEASUREMENT, [kernel(dec, g)], 1.0)[0]
 
 
-def _order_signs(report: CentralityReport) -> np.ndarray:
-    """Entry (i, j) is +1 if id i is strictly above id j beyond the tie
-    tolerance, -1 if strictly below, 0 if tied."""
-    x = report.indices
-    above = x[:, None] > x[None, :] + report.rank_tol()
-    return above.astype(np.int8) - above.T.astype(np.int8)
+# Rows per block of the pairwise flip test: bounds its memory to block x m.
+_FLIP_BLOCK = 256
 
 
-def _rank_flips(reports: Sequence[CentralityReport]) -> list[tuple[int, int, int]]:
-    """Strict-order reversals between neighboring reports, ordered by
-    ``(k, i, j)`` with ``i < j`` as the pair is visited."""
-    flips: list[tuple[int, int, int]] = []
-    before = _order_signs(reports[0]) if len(reports) > 1 else None
-    for k in range(len(reports) - 1):
-        after = _order_signs(reports[k + 1])
-        i, j = np.nonzero(np.triu(before * after == -1, 1))
-        ahead = (before[i, j] > 0).tolist()
-        for a, b, up in zip(i.tolist(), j.tolist(), ahead):
-            flips.append((k, a, b) if up else (k, b, a))
-        before = after
-    return flips
+def _rank_flips(reports: Sequence[CentralityReport]) -> np.ndarray:
+    """Strict-order reversals between neighboring reports as an ``(F, 3)``
+    intp array of rows ``(k, i, j)``: ``x_i > x_j + tol`` at report k and
+    the reverse, beyond its own tolerance, at report k + 1.  Rows are
+    ordered by k, then by the pair ``(min, max)``.  ``_FLIP_BLOCK`` rows
+    are compared at a time against the columns from the block start on."""
+    parts = [np.empty((0, 3), dtype=np.intp)]
+    for k, (a, b) in enumerate(zip(reports, reports[1:])):
+        x, y = a.indices, b.indices
+        x_tol, y_tol = x + a.rank_tol(), y + b.rank_tol()
+        for start in range(0, x.size, _FLIP_BLOCK):
+            rows = slice(start, start + _FLIP_BLOCK)
+            up = x[rows, None] > x_tol[start:]
+            up &= y[start:] > y_tol[rows, None]
+            down = x[start:] > x_tol[rows, None]
+            down &= y[rows, None] > y_tol[start:]
+            down |= up
+            square = down[:, : len(down)]
+            square &= ~np.tri(len(down), dtype=bool)  # keep i < j only
+            r, c = np.nonzero(down)
+            ahead = up[r, c]
+            i, j = r + start, c + start
+            columns = [np.full_like(i, k), np.where(ahead, i, j), np.where(ahead, j, i)]
+            parts.append(np.stack(columns, axis=1))
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
 class TauSweepResult:
     """Reports along a delay grid plus the rank flips between neighbors.
 
-    Each flip is ``(k, i, j)``: id ``i`` strictly precedes ``j`` at
-    ``taus[k]`` and strictly trails it at ``taus[k+1]`` (ties do not count
-    as flips in either direction).
+    Each flip is a row ``(k, i, j)`` of the ``(F, 3)`` intp array
+    ``rank_changes``: id ``i`` strictly precedes ``j`` at ``taus[k]`` and
+    strictly trails it at ``taus[k+1]`` (ties do not count as flips in
+    either direction).
     """
 
     taus: tuple[float, ...]
     reports: list[CentralityReport]
-    rank_changes: list[tuple[int, int, int]]
+    rank_changes: np.ndarray
 
 
 def tau_sweep(gm: GraphMatrices, structure: NoiseStructure, taus: Sequence[float]) -> TauSweepResult:

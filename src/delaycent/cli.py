@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any, Sequence
@@ -47,8 +46,8 @@ EXIT_NUMERIC = 4
 _SIG_DIGITS = 12
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.{_SIG_DIGITS}g}"
+# A float as text with 12 significant digits.
+_fmt_float = f"{{:.{_SIG_DIGITS}g}}".format
 
 
 def _json_float(x: float) -> str:
@@ -59,20 +58,16 @@ def _json_float(x: float) -> str:
 def _json_items(items: list | tuple, nl: str):
     """The encoded elements of one list, each on a line starting with ``nl``.
 
-    Flat lists of floats or of ints, and lists of equal-length int tuples or
-    lists (rank flips, link pairs), are encoded in one pass; anything else
+    Flat lists of floats or of ints are encoded in one pass; anything else
     element by element."""
     types = set(map(type, items))
     if types == {float}:
+        # A finite sum means no element is inf or nan.
+        if math.isfinite(sum(items)):
+            return map(float.__repr__, map(float, map(_fmt_float, items)))
         return map(_json_float, items)
     if types == {int}:
         return map(int.__repr__, items)
-    if types == {tuple} or types == {list}:
-        widths = set(map(len, items))
-        if len(widths) == 1 and set(map(type, chain.from_iterable(items))) == {int}:
-            inner = nl + "  "
-            template = "[" + inner + ("," + inner).join(["%d"] * widths.pop()) + nl + "]"
-            return [template % tuple(row) for row in items]
     return (_json_value(v, nl) for v in items)
 
 
@@ -99,6 +94,12 @@ def _json_value(obj: Any, nl: str) -> str:
         fields = (f"{_json_str(k)}: {_json_value(v, inner)}" for k, v in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(fields) + nl + "}"
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.size and np.issubdtype(obj.dtype, np.integer):
+            # Int rows (rank flips, link pairs): one row template, one format.
+            cell = inner + "  "
+            row = "[" + cell + ("," + cell).join(["%d"] * obj.shape[1]) + inner + "]"
+            rows = ("," + inner).join([row] * obj.shape[0])
+            return "[" + inner + rows % tuple(obj.ravel().tolist()) + nl + "]"
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -152,9 +153,10 @@ class _IdMap:
         self.original = ids.tolist()
         self.identity = self.original == list(range(len(self.original)))
 
-    def links(self, graph: WeightedGraph) -> list[list[int]]:
-        """Raw endpoint ids of every edge, in canonical edge order."""
-        return np.stack([self.ids[graph.i], self.ids[graph.j]], axis=1).tolist()
+    def links(self, graph: WeightedGraph) -> np.ndarray:
+        """Raw endpoint ids of every edge, in canonical edge order: an (m, 2)
+        array of the ids' own dtype."""
+        return np.stack([self.ids[graph.i], self.ids[graph.j]], axis=1)
 
 
 def remap_node_ids(records, declared_n: int | None) -> tuple[WeightedGraph, _IdMap]:
@@ -167,7 +169,8 @@ def remap_node_ids(records, declared_n: int | None) -> tuple[WeightedGraph, _IdM
     """
     lines, i, j, w = list(zip(*records)) or [()] * 4
     ids, internal = np.unique(np.array(i + j), return_inverse=True)
-    if len(ids) == ids.max(initial=-1) + 1 and (declared_n is None or declared_n >= len(ids)):
+    # ids are sorted and unique, so they are dense iff the last one is len - 1.
+    if (not len(ids) or ids[-1] == len(ids) - 1) and (declared_n is None or declared_n >= len(ids)):
         ids = np.arange(len(ids) if declared_n is None else declared_n)
     id_map = _IdMap(ids)
     edges = (internal[: len(i)], internal[len(i) :], w)
@@ -226,10 +229,17 @@ def _load_sigma(path: str | None, expected: int, name: str) -> np.ndarray | None
     return var
 
 
-def _report_payload(report: CentralityReport, gm: GraphMatrices, id_map: _IdMap, is_link: bool) -> dict:
+def _link_ids(gm: GraphMatrices, id_map: _IdMap, structure: ct.NoiseStructure) -> np.ndarray | None:
+    """Raw endpoint ids of every edge if the structure indexes links, else None."""
+    return id_map.links(gm.graph) if structure.indexes_links else None
+
+
+def _report_payload(report: CentralityReport, id_map: _IdMap, links: np.ndarray | None) -> dict:
+    """A report in raw ids: link reports (``links`` given) carry the edge
+    list, node reports over remapped ids carry their ids."""
     payload = report.to_dict()
-    if is_link:
-        payload["links"] = id_map.links(gm.graph)
+    if links is not None:
+        payload["links"] = links
     elif not id_map.identity:
         payload["ids"] = list(id_map.original)
         payload["ranking"] = [id_map.original[k] for k in report.ranking]
@@ -237,12 +247,12 @@ def _report_payload(report: CentralityReport, gm: GraphMatrices, id_map: _IdMap,
     return payload
 
 
-def _report_rows(report: CentralityReport, gm: GraphMatrices, id_map: _IdMap, is_link: bool):
+def _report_rows(report: CentralityReport, id_map: _IdMap, links: np.ndarray | None):
     rank_of = {idx: pos for pos, idx in enumerate(report.ranking)}
     rows = []
-    if is_link:
+    if links is not None:
         header = ["id", "i", "j", "index", "rank"]
-        for e, (i, j) in enumerate(id_map.links(gm.graph)):
+        for e, (i, j) in enumerate(links.tolist()):
             rows.append([e, i, j, report.indices[e], rank_of[e]])
     else:
         header = ["id", "index", "rank"]
@@ -277,9 +287,9 @@ def _cmd_centrality(args) -> int:
     gm, id_map = _load_graph(args)
     structure = _structure_from_args(args)
     report = ct.centrality_report(gm, structure, args.tau)
-    is_link = structure.indexes_links
-    payload = _report_payload(report, gm, id_map, is_link)
-    header, rows = _report_rows(report, gm, id_map, is_link)
+    links = _link_ids(gm, id_map, structure)
+    payload = _report_payload(report, id_map, links)
+    header, rows = _report_rows(report, id_map, links)
     _emit(payload, header, rows, args.format, args.output)
     return EXIT_OK
 
@@ -288,7 +298,7 @@ def _cmd_rank(args) -> int:
     gm, id_map = _load_graph(args)
     structure = _structure_from_args(args)
     report = ct.centrality_report(gm, structure, args.tau)
-    full = _report_payload(report, gm, id_map, structure.indexes_links)
+    full = _report_payload(report, id_map, _link_ids(gm, id_map, structure))
     payload = {k: full[k] for k in ("tau", "structure", "ranking", "tie_groups", "tau_max", "margin")}
     rows = [[pos, idx] for pos, idx in enumerate(payload["ranking"])]
     _emit(payload, ["rank", "id"], rows, args.format, args.output)
@@ -309,7 +319,7 @@ def _cmd_sensitivity(args) -> int:
         "tau_max": info.tau_max,
         "margin": info.margin,
     }
-    rows = [[e, i, j, kappa[e]] for e, (i, j) in enumerate(links)]
+    rows = [[e, i, j, kappa[e]] for e, (i, j) in enumerate(links.tolist())]
     _emit(payload, ["id", "i", "j", "kappa"], rows, args.format, args.output)
     return EXIT_OK
 
@@ -337,11 +347,15 @@ def _cmd_sweep_tau(args) -> int:
     structure = _structure_from_args(args)
     grid = _parse_grid(args.tau_grid, "--tau-grid")
     result = ct.tau_sweep(gm, structure, grid)
-    is_link = structure.indexes_links
-    reports = [_report_payload(r, gm, id_map, is_link) for r in result.reports]
+    links = _link_ids(gm, id_map, structure)
+    is_link = links is not None
+    reports = [_report_payload(r, id_map, links) for r in result.reports]
     rank_changes = result.rank_changes
     if not is_link and not id_map.identity:
-        rank_changes = [(k, id_map.original[i], id_map.original[j]) for k, i, j in rank_changes]
+        # Raw ids keep their own dtype: uint64 or object ids never pass through float.
+        rank_changes = np.empty(rank_changes.shape, dtype=id_map.ids.dtype)
+        rank_changes[:, 0] = result.rank_changes[:, 0]
+        rank_changes[:, 1:] = id_map.ids[result.rank_changes[:, 1:]]
     payload = {
         "structure": structure.name,
         "tau_grid": grid,
@@ -364,13 +378,14 @@ def _cmd_sweep_scale(args) -> int:
     structure = _structure_from_args(args)
     grid = _parse_grid(args.alpha_grid, "--alpha-grid")
     result = ct.scale_sweep(gm, structure, args.tau, grid)
-    is_link = structure.indexes_links
+    links = _link_ids(gm, id_map, structure)
+    is_link = links is not None
     payload = {
         "structure": structure.name,
         "tau": args.tau,
         "alpha_grid": grid,
-        "reports": [_report_payload(r, gm, id_map, is_link) for r in result.reports],
-        "baseline": _report_payload(result.baseline, gm, id_map, is_link),
+        "reports": [_report_payload(r, id_map, links) for r in result.reports],
+        "baseline": _report_payload(result.baseline, id_map, links),
         "matches_baseline": result.matches_baseline,
     }
     def rows():
@@ -388,8 +403,8 @@ def _cmd_second_order(args) -> int:
     gm, id_map = _load_graph(args)
     cfg = SecondOrderConfig(b=args.b, tau=args.tau, quad_tol=args.quad_tol)
     report = secondorder.so_node_centrality(gm, cfg)
-    payload = _report_payload(report, gm, id_map, is_link=False)
-    header, rows = _report_rows(report, gm, id_map, is_link=False)
+    payload = _report_payload(report, id_map, None)
+    header, rows = _report_rows(report, id_map, None)
     _emit(payload, header, rows, args.format, args.output)
     return EXIT_OK
 

@@ -24,21 +24,15 @@ def rank_with_ties(
     if values.ndim != 1 or values.size == 0:
         raise ValueError("indices must be a nonempty 1-d vector")
     tol = tol_factor * float(np.max(np.abs(values)))
-    order = sorted(range(values.size), key=lambda k: (-values[k], k))
-    groups: list[list[int]] = [[order[0]]]
-    for prev, cur in zip(order, order[1:]):
-        if values[prev] - values[cur] < tol:
-            groups[-1].append(cur)
-        else:
-            groups.append([cur])
-    ranking: list[int] = []
-    tie_groups: list[tuple[int, ...]] = []
-    for group in groups:
-        group.sort()
-        ranking.extend(group)
-        if len(group) > 1:
-            tie_groups.append(tuple(group))
-    return tuple(ranking), tuple(tie_groups)
+    order = np.argsort(-values, kind="stable")
+    ranked = values[order]
+    # A gap of at least tol after an id opens a new group; smaller gaps chain.
+    opens = np.r_[True, ~(ranked[:-1] - ranked[1:] < tol)]
+    ranking = order[np.lexsort((order, np.cumsum(opens)))].tolist()
+    bounds = np.flatnonzero(np.r_[opens, True])
+    tied = np.flatnonzero(np.diff(bounds) > 1)
+    tie_groups = zip(bounds[tied].tolist(), bounds[tied + 1].tolist())
+    return tuple(ranking), tuple(tuple(ranking[s:e]) for s, e in tie_groups)
 
 
 @dataclass(frozen=True)

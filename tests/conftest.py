@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from delaycent import WeightedGraph, build_matrices, is_connected, parse_edge_list
+from delaycent.report import RANK_TOL_FACTOR
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -114,6 +115,28 @@ def edge_quadratic_form(matrix, e):
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"invalid edge ({i}, {j}) for a {n}-node matrix")
     return float(matrix[i, i] + matrix[j, j] - 2.0 * matrix[i, j])
+
+
+def reference_rank_with_ties(indices, tol_factor=RANK_TOL_FACTOR):
+    """The former ``rank_with_ties``: a Python sort by ``(-value, id)`` and a
+    chain of neighbors closer than the tolerance.  The oracle for the
+    vectorized ranking."""
+    values = np.asarray(indices, dtype=float)
+    tol = tol_factor * float(np.max(np.abs(values)))
+    order = sorted(range(values.size), key=lambda k: (-values[k], k))
+    groups = [[order[0]]]
+    for prev, cur in zip(order, order[1:]):
+        if values[prev] - values[cur] < tol:
+            groups[-1].append(cur)
+        else:
+            groups.append([cur])
+    ranking, tie_groups = [], []
+    for group in groups:
+        group.sort()
+        ranking.extend(group)
+        if len(group) > 1:
+            tie_groups.append(tuple(group))
+    return tuple(ranking), tuple(tie_groups)
 
 
 @pytest.fixture

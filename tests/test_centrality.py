@@ -34,6 +34,7 @@ from delaycent import (
 from delaycent import centrality as centrality_module
 from delaycent.spectral import kernel
 from delaycent.centrality import centrality_kernel, centrality_report, noise_channels
+from delaycent.report import make_report
 
 from conftest import (
     FIXTURES,
@@ -445,7 +446,7 @@ class TestTauSweep:
         assert first.indices[0] > first.indices[1]  # ends lead without delay
         assert last.indices[1] > last.indices[0]  # center leads near the boundary
         assert len(result.rank_changes) >= 1
-        assert (0, 0, 1) in result.rank_changes
+        assert [0, 0, 1] in result.rank_changes.tolist()
 
     def test_k2_elementwise_increase(self, k2):
         result = tau_sweep(k2, DYNAMICS, [0.1, 0.2])
@@ -454,7 +455,8 @@ class TestTauSweep:
     def test_single_point_grid(self, c4):
         result = tau_sweep(c4, DYNAMICS, [0.0])
         assert len(result.reports) == 1
-        assert result.rank_changes == []
+        assert result.rank_changes.shape == (0, 3)
+        assert result.rank_changes.dtype == np.intp
 
     def test_grid_beyond_boundary_rejected(self, k2):
         with pytest.raises(StabilityError):
@@ -526,8 +528,75 @@ def brute_force_flips(reports):
                 sa = pair_sign(x[i], x[j], tol_a)
                 sb = pair_sign(y[i], y[j], tol_b)
                 if sa * sb == -1:
-                    flips.append((k, i, j) if sa > 0 else (k, j, i))
+                    flips.append([k, i, j] if sa > 0 else [k, j, i])
     return flips
+
+
+class TestFlipBlocks:
+    """Rank flips compare ``_FLIP_BLOCK`` rows at a time against the columns
+    from the block start on; no m x m array is formed."""
+
+    @pytest.mark.parametrize("structure", [DYNAMICS, SENSOR, MEASUREMENT])
+    def test_block_boundaries_match_brute_force(self, ring_chord100, structure, monkeypatch):
+        # n = 100 is six full 16-row blocks and a partial one; m = 400 is 25.
+        monkeypatch.setattr(centrality_module, "_FLIP_BLOCK", 16)
+        gm = ring_chord100
+        tau_max = math.pi / (2 * decompose(gm.laplacian).lambda_max)
+        sweep = tau_sweep(gm, structure, np.linspace(0.0, 0.95 * tau_max, 12))
+        flips = sweep.rank_changes
+        assert flips.dtype == np.intp and flips.shape[1] == 3
+        assert flips.tolist() == brute_force_flips(sweep.reports)
+        same_block = flips[:, 1] // 16 == flips[:, 2] // 16
+        assert same_block.any() and not same_block.all()
+
+    def test_ties_and_tolerance_edges_match_brute_force(self, monkeypatch):
+        # With max |x| = 1 and max |y| = 1000 the tolerances are 1e-9 and 1e-6:
+        # x holds exact ties and gaps of exactly one tolerance (not strict),
+        # y gaps that are strict only at the first report's tolerance.
+        monkeypatch.setattr(centrality_module, "_FLIP_BLOCK", 16)
+        rng = np.random.default_rng(71)
+        x = rng.choice([1.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9, 0.25], size=50)
+        y = rng.choice([1000.0, 0.5, 0.5 + 5e-7, 0.5 + 2e-6, 0.25], size=50)
+        reports = [make_report(0.0, "dynamics", v, None, None) for v in (x, y, x)]
+        flips = centrality_module._rank_flips(reports)
+        assert len(flips) > 0
+        assert flips.tolist() == brute_force_flips(reports)
+
+    def test_peak_memory_is_a_few_flip_blocks(self, monkeypatch):
+        # In the style of the edge-block guard: an m x m int8 sign matrix
+        # alone takes m / block = 50 block units here.  The output counts
+        # twice: once as per-block parts, once concatenated.
+        block = 16
+        monkeypatch.setattr(centrality_module, "_FLIP_BLOCK", block)
+        gm = build_matrices(ring_chord_graph(200, 3))
+        dec = decompose(gm.laplacian, require_connected=True)
+        tau_max = math.pi / (2 * dec.lambda_max)
+        reports = centrality_module._reports(gm, dec, MEASUREMENT, [0.3 * tau_max, 0.6 * tau_max])
+        centrality_module._rank_flips(reports)  # outside the window, as above
+        tracemalloc.start()
+        try:
+            flips = centrality_module._rank_flips(reports)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(flips) > 0
+        assert peak < 16 * block * gm.num_edges + 2 * flips.nbytes
+
+    def test_no_m_by_m_array(self):
+        # Any m x m array of one-byte entries would push the peak past m^2 bytes.
+        m = 3000
+        rng = np.random.default_rng(67)
+        x = rng.uniform(1.0, 2.0, m)
+        y = x + rng.normal(scale=1e-3, size=m)
+        reports = [make_report(0.0, "dynamics", v, None, None) for v in (x, y)]
+        tracemalloc.start()
+        try:
+            flips = centrality_module._rank_flips(reports)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(flips) > 0
+        assert peak < m * m
 
 
 class TestSweepSharedDecomposition:
@@ -550,7 +619,7 @@ class TestSweepSharedDecomposition:
                 assert rep.ranking == single.ranking
                 assert rep.tie_groups == single.tie_groups
                 assert (rep.tau, rep.tau_max, rep.margin) == (single.tau, single.tau_max, single.margin)
-            assert sweep.rank_changes == brute_force_flips(sweep.reports)
+            assert sweep.rank_changes.tolist() == brute_force_flips(sweep.reports)
             flips += len(sweep.rank_changes)
         if graph == "ex1_graph":
             assert flips > 0

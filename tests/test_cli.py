@@ -307,6 +307,33 @@ class TestRemapping:
         side = json.loads((tmp_path / "report.json.idmap.json").read_text())
         assert side == {"0": 0, "2": 1, "3": 2}
 
+    @pytest.mark.parametrize("low", [2**63, 2**70])
+    def test_huge_ids_stay_exact(self, tmp_path, low):
+        # The path a - b - c: the ends a, c lead without delay (a tie), the
+        # centre b leads near tau_max = pi/6, so each end flips with b.
+        a, b, c = low + 5, 2 * low - 1, low
+        graph = tmp_path / "huge.edges"
+        graph.write_text(f"{a} {b}\n{b} {c}\n")
+        out_path = tmp_path / "sweep.json"
+        code = run([
+            "sweep-tau", "--graph", str(graph), "--structure", "dynamics",
+            "--tau-grid", "0,0.47", "--output", str(out_path),
+        ])
+        assert code == 0
+        payload = json.loads(out_path.read_text())
+        first, last = payload["reports"]
+        assert first["ids"] == last["ids"] == [c, a, b]
+        assert first["ranking"] == [c, a, b] and first["tie_groups"] == [[c, a]]
+        assert last["ranking"] == [b, c, a] and last["tie_groups"] == [[c, a]]
+        assert payload["rank_changes"] == [[0, c, b], [0, a, b]]
+        code = run([
+            "rank", "--graph", str(graph), "--structure", "dynamics",
+            "--tau", "0.47", "--output", str(out_path),
+        ])
+        assert code == 0
+        payload = json.loads(out_path.read_text())
+        assert payload["ranking"] == [b, c, a] and payload["tie_groups"] == [[c, a]]
+
     def test_dense_ids_identity_no_side_file(self, tmp_path):
         out_path = tmp_path / "report.json"
         code = run([

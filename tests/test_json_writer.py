@@ -56,8 +56,8 @@ numpy_scalars = st.one_of(
 text = st.text(st.characters(codec="utf-8"), max_size=8)
 scalars = st.one_of(floats, ints, st.booleans(), st.none(), text, numpy_scalars)
 
-# Flat lists of one kind and lists of equal-length int tuples/lists, which
-# the writer encodes in one pass, plus bools mixed into int lists.
+# Flat lists of one kind, which the writer encodes in one pass, lists of
+# equal-length int tuples/lists, and bools mixed into int lists.
 int_rows = st.integers(min_value=0, max_value=4).flatmap(
     lambda w: st.lists(st.tuples(*[ints] * w) | st.lists(ints, min_size=w, max_size=w), max_size=6)
 )
@@ -68,10 +68,16 @@ flat = st.one_of(
     int_rows,
     st.lists(st.tuples(ints, ints, ints), max_size=6),
 )
+# 2-D integer arrays are rank-flip logs, written through one row template.
+rows_2d = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5)
 arrays = st.one_of(
     hnp.arrays(np.float64, st.integers(0, 6), elements=floats),
     hnp.arrays(np.int64, st.integers(0, 6)),
     hnp.arrays(np.bool_, st.integers(0, 6)),
+    hnp.arrays(np.intp, rows_2d),
+    hnp.arrays(np.uint64, rows_2d, elements=st.integers(2**63, 2**64 - 1)),
+    hnp.arrays(np.uint64, rows_2d),
+    hnp.arrays(np.bool_, rows_2d),
 )
 
 payloads = st.recursive(
@@ -113,6 +119,15 @@ def test_writer_matches_oracle(payload):
         [1e16, 123456789012.5, 99999999999.99, -0.0, 5e-324],
         np.array([math.nan, math.inf, -math.inf, 1.0]),
         np.array([[1, 2], [3, 4]]),
+        np.empty((0, 3), dtype=np.intp),
+        {"rank_changes": np.empty((0, 3), dtype=np.intp)},
+        np.empty((2, 0), dtype=np.intp),
+        np.array([[0, 5, 2], [3, 1, 4]], dtype=np.intp),
+        {"a": [np.array([[-1, 2**62]], dtype=np.intp)]},
+        np.array([[2**63, 2**64 - 1, 0]], dtype=np.uint64),
+        np.array([[True, False]]),
+        [1e308, 1e308],
+        [1e308, -1e308, 0.5],
     ],
 )
 def test_writer_edge_cases(payload):
