@@ -5,8 +5,10 @@ Two routes that share no math with the spectral formulas:
 * :func:`mode_integral` evaluates the per-mode frequency integral behind
   the performance measure by adaptive quadrature with an analytic tail.
 * :func:`simulate` runs Euler-Maruyama on the stochastic delay equation
-  itself, with a delayed-state ring buffer, and estimates the steady-state
-  dispersion with a standard error across independent trajectories.
+  itself, advancing up to d+1 steps at a time by the method of steps (the
+  delayed states a block needs are already known), and estimates the
+  steady-state dispersion with a standard error across independent
+  trajectories.
 
 Both are deliberately dumb and slow relative to the spectral path; their
 job is to disagree loudly if a formula is wrong.
@@ -15,7 +17,7 @@ job is to disagree loudly if a formula is wrong.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -206,7 +208,9 @@ def simulate(
 
     Zero pre-history on [-tau, 0); output ``y = x - mean(x)``; the
     dispersion estimate averages ``|y|^2`` over the horizon after burn-in
-    and across trajectories (accumulated in fixed trajectory order).
+    and across trajectories (accumulated in fixed trajectory order).  The
+    run uses the delay snapped to the step grid, so both the requested and
+    the snapped delay must lie inside the stability region.
     """
     lap = gm.laplacian
     n = gm.n
@@ -221,24 +225,14 @@ def simulate(
     if (variances < 0).any():
         raise ValueError("variances must be nonnegative")
     dec = decompose(lap, require_connected=True)
-    info = stability_margin(dec, cfg.tau)
+    tau = max(cfg.tau, cfg.tau_snapped)
+    info = stability_margin(dec, tau)
     if not info.stable:
-        raise StabilityError(cfg.tau, info.tau_max)
+        raise StabilityError(tau, info.tau_max)
 
     b_sigma = b * np.sqrt(variances)[None, :]
-
-    def mix_noise(z: np.ndarray) -> np.ndarray:
-        # (steps, channels, traj) white increments -> per-state forcing
-        return np.einsum("nm,smt->snt", b_sigma, z)
-
-    return _run_euler_maruyama(
-        cfg,
-        n_state=n,
-        n_channels=b.shape[1],
-        mix_noise=mix_noise,
-        step_fn=lambda x, x_del, forcing: x - cfg.dt * (lap @ x_del) + forcing,
-        observe_rows=slice(0, n),
-    )
+    # (steps, channels, traj) white increments -> per-state forcing
+    return _run_euler_maruyama(cfg, lap, b.shape[1], lambda z: b_sigma @ z)
 
 
 def simulate_second_order(
@@ -261,40 +255,20 @@ def simulate_second_order(
         raise ValueError(f"variance vector of shape {variances.shape}, expected ({n},)")
     decompose(lap, require_connected=True)
     sigma = np.sqrt(variances)
-
-    def mix_noise(z: np.ndarray) -> np.ndarray:
-        forcing = np.zeros((z.shape[0], 2 * n, z.shape[2]))
-        forcing[:, n:, :] = sigma[None, :, None] * z
-        return forcing
-
-    def step(state, state_del, forcing):
-        new = np.empty_like(state)
-        new[:n] = state[:n] + cfg.dt * state[n:]
-        new[n:] = (
-            state[n:]
-            - cfg.dt * (lap @ state_del[:n] + b_gain * (lap @ state_del[n:]))
-            + forcing[n:]
-        )
-        return new
-
-    return _run_euler_maruyama(
-        cfg,
-        n_state=2 * n,
-        n_channels=n,
-        mix_noise=mix_noise,
-        step_fn=step,
-        observe_rows=slice(0, n),
-    )
+    return _run_euler_maruyama(cfg, lap, n, lambda z: sigma[None, :, None] * z, b_gain)
 
 
-def _run_euler_maruyama(
-    cfg: SimConfig, n_state, n_channels, mix_noise, step_fn, observe_rows
-) -> SimResult:
-    """Shared stepping loop: ring-buffered delay, chunked per-trajectory noise.
+def _run_euler_maruyama(cfg: SimConfig, lap, n_channels, mix_noise, b_gain=None) -> SimResult:
+    """Shared stepping loop: method of steps over a linear history, chunked noise.
 
-    Noise is pre-mixed into per-state forcing one chunk at a time, and
-    measurement is vectorized over the chunk's recorded states, so the
-    sequential inner loop touches only the delay recursion itself.
+    The state is ``x`` (first order) or positions stacked over velocities
+    (second order, ``b_gain`` given); the delayed feedback and the noise
+    drive its last ``n`` rows.  ``hist`` holds the d+1 states before the
+    current noise chunk, oldest first, followed by the chunk's new states,
+    so chunk step ``i`` reads its delayed state at ``hist[i]`` and writes
+    ``hist[d+1+i]``; at the chunk end the last d+1 states move to the front.
+    Noise is mixed into forcing one chunk at a time, and measurement is
+    vectorized over the chunk's new states.
     """
     dt = cfg.dt
     d = cfg.delay_steps
@@ -304,38 +278,106 @@ def _run_euler_maruyama(
     n_traj = cfg.n_traj
     gens = _trajectory_generators(cfg.seed, n_traj)
     sqrt_dt = math.sqrt(dt)
+    n = lap.shape[0]
+    n_state = n if b_gain is None else 2 * n
 
-    history = np.zeros((d + 1, n_state, n_traj))
-    state = history[0]
-    n_obs = len(range(*observe_rows.indices(n_state)))
-    sum_sq_node = np.zeros(n_obs)
+    hist = np.zeros((d + 1 + min(_NOISE_CHUNK, total_steps), n_state, n_traj))
+    sum_sq_node = np.zeros(n)
     sum_sq_traj = np.zeros(n_traj)
 
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step < total_steps:
             chunk = min(_NOISE_CHUNK, total_steps - step)
-            z = np.empty((chunk, n_channels, n_traj))
-            for t, gen in enumerate(gens):
-                z[:, :, t] = gen.standard_normal((chunk, n_channels))
-            forcing = mix_noise(z * sqrt_dt)
-            recorded = np.empty((chunk, n_obs, n_traj))
-            for s in range(chunk):
-                slot = (step + 1) % (d + 1)
-                delayed = history[slot]  # holds the state d steps back (0 pre-history)
-                state = step_fn(state, delayed, forcing[s])
-                history[slot] = state
-                recorded[s] = state[observe_rows]
-                step += 1
-            _check_finite(state, step)
+            forcing = mix_noise(_white_increments(gens, chunk, n_channels, sqrt_dt))
+            if d == 0:
+                _step_in_place(hist, forcing, lap, dt, b_gain)
+            else:
+                _advance_blocks(hist, forcing, lap, dt, d, b_gain)
+            step += chunk
+            _check_finite(hist[d + chunk], step)
             first_measured = max(0, burn_steps - (step - chunk))
             if first_measured < chunk:
-                y = recorded[first_measured:]
-                y = y - y.mean(axis=1, keepdims=True)
-                ysq = y**2
+                y = hist[d + 1 + first_measured : d + 1 + chunk, :n]
+                ysq = y - y.mean(axis=1, keepdims=True)
+                ysq *= ysq
                 sum_sq_node += ysq.sum(axis=(0, 2))
                 sum_sq_traj += ysq.sum(axis=(0, 1))
+            hist[: d + 1] = hist[chunk : chunk + d + 1]
     return _finish(sum_sq_node, sum_sq_traj, meas_steps, cfg)
+
+
+def _white_increments(gens, chunk, n_channels, sqrt_dt) -> np.ndarray:
+    """``sqrt(dt)``-scaled standard normals of shape (steps, channels, traj);
+    trajectory ``t`` draws the next ``(steps, channels)`` block of its own
+    stream."""
+    raw = np.empty((len(gens), chunk, n_channels))
+    for gen, out in zip(gens, raw):
+        gen.standard_normal(out=out)
+    z = np.empty((chunk, n_channels, len(gens)))
+    np.multiply(raw.transpose(1, 2, 0), sqrt_dt, out=z)
+    return z
+
+
+def _advance_blocks(hist, forcing, lap, dt, d, b_gain) -> None:
+    """Method of steps for d >= 1 over one chunk of ``forcing``.
+
+    Steps ``s .. s+d`` read only delayed states that are already known, so
+    a block of up to d+1 steps takes one stacked matmul for all its drifts
+    and one ``cumsum`` over the rows ``[x, -dt L x_0, f_0, -dt L x_1, f_1,
+    ...]`` for all its states.  The accumulation is sequential, so it
+    reproduces the stepwise ``(x - dt (L x_del)) + f`` bit for bit.
+    Second-order positions are then a ``cumsum`` of ``[p, dt v_0, dt v_1,
+    ...]``.
+    """
+    n = lap.shape[0]
+    driven = slice(hist.shape[1] - n, None)
+    work = np.empty((2 * d + 3, n, hist.shape[2]))
+    for s in range(0, forcing.shape[0], d + 1):
+        nb = min(d + 1, forcing.shape[0] - s)
+        delayed = hist[s : s + nb]
+        rows = work[: 2 * nb + 1]
+        drifts = rows[1::2]
+        np.matmul(lap, delayed[:, :n], out=drifts)
+        if b_gain is not None:
+            feedback = lap @ delayed[:, n:]
+            feedback *= b_gain
+            drifts += feedback
+        drifts *= -dt
+        rows[0] = hist[d + s, driven]
+        rows[2::2] = forcing[s : s + nb]
+        np.cumsum(rows, axis=0, out=rows)
+        hist[d + s + 1 : d + s + nb + 1, driven] = rows[2::2]
+        if b_gain is not None:
+            rows = work[: nb + 1]
+            rows[0] = hist[d + s, :n]
+            np.multiply(hist[d + s : d + s + nb, n:], dt, out=rows[1:])
+            np.cumsum(rows, axis=0, out=rows)
+            hist[d + s + 1 : d + s + nb + 1, :n] = rows[1:]
+
+
+def _step_in_place(hist, forcing, lap, dt, b_gain) -> None:
+    """d = 0: each step needs the state just before it, so a block would
+    hold one step and cost two to three times as much per step as this
+    in-place loop.  It keeps the stepwise order ``(x - dt (L x)) + f``;
+    ``np.dot`` with a positional output is the cheapest call here and
+    gives the same bits as ``@``."""
+    n = lap.shape[0]
+    drift = np.empty(forcing.shape[1:])
+    feedback = np.empty_like(drift)
+    for x, new, f in zip(hist, hist[1:], forcing):
+        p, v, vel = x[:n], x[-n:], new[-n:]
+        np.dot(lap, p, drift)
+        if b_gain is not None:
+            np.dot(lap, v, feedback)
+            feedback *= b_gain
+            drift += feedback
+        drift *= dt
+        np.subtract(v, drift, vel)
+        vel += f
+        if b_gain is not None:
+            np.multiply(v, dt, feedback)
+            np.add(p, feedback, new[:n])
 
 
 @dataclass(frozen=True)
@@ -363,10 +405,7 @@ def mc_node_centrality(
     if not (0 < delta < 1):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if cfg.tau != tau:
-        cfg = SimConfig(
-            tau=tau, dt=cfg.dt, burn_in=cfg.burn_in, horizon=cfg.horizon,
-            n_traj=cfg.n_traj, seed=cfg.seed, scheme=cfg.scheme,
-        )
+        cfg = replace(cfg, tau=tau)
     b = input_matrix(gm, structure)
     m = noise_channels(gm, structure)
     eta = np.empty(m)

@@ -1,9 +1,10 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from delaycent import WeightedGraph, build_matrices, is_connected, parse_edge_list
+from delaycent import WeightedGraph, build_matrices, is_connected, oracles, parse_edge_list
 from delaycent.report import RANK_TOL_FACTOR
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -137,6 +138,96 @@ def reference_rank_with_ties(indices, tol_factor=RANK_TOL_FACTOR):
         if len(group) > 1:
             tie_groups.append(tuple(group))
     return tuple(ranking), tuple(tie_groups)
+
+
+def stepwise_euler_maruyama(cfg, n_state, n_channels, mix_noise, step_fn, observe_rows):
+    """The former Euler-Maruyama loop: one Python step per time step, the
+    delayed state read from a ring buffer of d+1 slots, noise mixed by
+    ``mix_noise`` one chunk of ``oracles._NOISE_CHUNK`` steps at a time.
+    The oracle for the blocked loop of :mod:`delaycent.oracles`."""
+    dt = cfg.dt
+    d = cfg.delay_steps
+    burn_steps = int(round(cfg.burn_in / dt))
+    meas_steps = int(round(cfg.horizon / dt))
+    total_steps = burn_steps + meas_steps
+    n_traj = cfg.n_traj
+    gens = oracles._trajectory_generators(cfg.seed, n_traj)
+    sqrt_dt = math.sqrt(dt)
+
+    history = np.zeros((d + 1, n_state, n_traj))
+    state = history[0]
+    n_obs = len(range(*observe_rows.indices(n_state)))
+    sum_sq_node = np.zeros(n_obs)
+    sum_sq_traj = np.zeros(n_traj)
+
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < total_steps:
+            chunk = min(oracles._NOISE_CHUNK, total_steps - step)
+            z = np.empty((chunk, n_channels, n_traj))
+            for t, gen in enumerate(gens):
+                z[:, :, t] = gen.standard_normal((chunk, n_channels))
+            forcing = mix_noise(z * sqrt_dt)
+            recorded = np.empty((chunk, n_obs, n_traj))
+            for s in range(chunk):
+                slot = (step + 1) % (d + 1)
+                delayed = history[slot]  # holds the state d steps back (0 pre-history)
+                state = step_fn(state, delayed, forcing[s])
+                history[slot] = state
+                recorded[s] = state[observe_rows]
+                step += 1
+            oracles._check_finite(state, step)
+            first_measured = max(0, burn_steps - (step - chunk))
+            if first_measured < chunk:
+                y = recorded[first_measured:]
+                y = y - y.mean(axis=1, keepdims=True)
+                ysq = y**2
+                sum_sq_node += ysq.sum(axis=(0, 2))
+                sum_sq_traj += ysq.sum(axis=(0, 1))
+    return oracles._finish(sum_sq_node, sum_sq_traj, meas_steps, cfg)
+
+
+def stepwise_simulate(gm, b, variances, cfg):
+    """:func:`delaycent.simulate` on :func:`stepwise_euler_maruyama`, with
+    the former ``einsum`` noise mix."""
+    lap = gm.laplacian
+    b = np.asarray(b, dtype=float)
+    b_sigma = b * np.sqrt(np.asarray(variances, dtype=float))[None, :]
+    return stepwise_euler_maruyama(
+        cfg,
+        n_state=gm.n,
+        n_channels=b.shape[1],
+        mix_noise=lambda z: np.einsum("nm,smt->snt", b_sigma, z),
+        step_fn=lambda x, x_del, forcing: x - cfg.dt * (lap @ x_del) + forcing,
+        observe_rows=slice(0, gm.n),
+    )
+
+
+def stepwise_simulate_second_order(gm, b_gain, variances, cfg):
+    """:func:`delaycent.simulate_second_order` on :func:`stepwise_euler_maruyama`."""
+    lap = gm.laplacian
+    n = gm.n
+    sigma = np.sqrt(np.asarray(variances, dtype=float))
+
+    def mix_noise(z):
+        forcing = np.zeros((z.shape[0], 2 * n, z.shape[2]))
+        forcing[:, n:, :] = sigma[None, :, None] * z
+        return forcing
+
+    def step(state, state_del, forcing):
+        new = np.empty_like(state)
+        new[:n] = state[:n] + cfg.dt * state[n:]
+        new[n:] = (
+            state[n:]
+            - cfg.dt * (lap @ state_del[:n] + b_gain * (lap @ state_del[n:]))
+            + forcing[n:]
+        )
+        return new
+
+    return stepwise_euler_maruyama(
+        cfg, n_state=2 * n, n_channels=n, mix_noise=mix_noise, step_fn=step,
+        observe_rows=slice(0, n),
+    )
 
 
 @pytest.fixture

@@ -138,6 +138,20 @@ def test_verify_subcommand_passes():
     assert "PASS" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_unstable_snapped_delay_exits_3(command):
+    # tau is inside the stability region, but it snaps to 200 dt, past tau_max.
+    tau = math.pi / 4 * (1 - 1e-3)
+    code, out, err = invoke(
+        command, "--graph", str(FIXTURES / "k2.edges"), "--structure", "dynamics",
+        "--tau", repr(tau), "--dt", repr(tau / 199.6), "--burn-in", "1", "--horizon", "2000",
+        "--traj", "2",
+    )
+    assert code == 3
+    assert out == ""
+    assert "delay tau=0.786185 " in err
+
+
 class TestExitCodes:
     def test_usage_error_missing_flag(self):
         code, _, _ = invoke("centrality", "--graph", str(FIXTURES / "k2.edges"))

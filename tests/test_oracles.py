@@ -5,6 +5,7 @@ import pytest
 
 from delaycent import (
     ALL_STRUCTURES,
+    COMM_CHANNEL,
     DYNAMICS,
     SENSOR,
     NoiseSpec,
@@ -20,9 +21,15 @@ from delaycent import (
     simulate_second_order,
     so_zero_delay_closed_form,
 )
+from delaycent import oracles
 from delaycent.centrality import noise_channels
 
-from conftest import random_connected_graph
+from conftest import (
+    random_connected_graph,
+    ring_chord_graph,
+    stepwise_simulate,
+    stepwise_simulate_second_order,
+)
 
 
 def closed_form_mode(lam: float, tau: float) -> float:
@@ -133,6 +140,16 @@ class TestSimulate:
         with pytest.raises(StabilityError):
             simulate(k2, np.eye(2), np.ones(2), cfg)
 
+    def test_unstable_snapped_tau_rejected(self, k2):
+        # The requested delay is stable, but the run would use the delay
+        # snapped to the step grid, 200 dt, which lies past tau_max = pi/4.
+        tau = math.pi / 4 * (1 - 1e-3)
+        cfg = SimConfig(tau=tau, dt=tau / 199.6, burn_in=1.0, horizon=5.0, n_traj=2, seed=1)
+        assert cfg.tau_snapped > math.pi / 4
+        with pytest.raises(StabilityError, match=r"delay tau=0\.786185 ") as exc:
+            simulate(k2, np.eye(2), np.ones(2), cfg)
+        assert exc.value.tau == cfg.tau_snapped
+
     def test_divergence_detected(self, k2):
         # Stable continuous system, but dt beyond the explicit-Euler limit.
         cfg = SimConfig(tau=0.0, dt=1.5, burn_in=15.0, horizon=150.0, n_traj=2, seed=1)
@@ -177,8 +194,71 @@ class TestOracleAgreementAllStructures:
             assert res.std_err <= 0.05 * closed, structure.name
 
 
+class TestBlockedLoopMatchesStepwise:
+    """The method of steps against the former one-step-at-a-time loop
+    (:func:`conftest.stepwise_euler_maruyama`)."""
+
+    # Blocks of d+1 = 2 and 64 steps divide the 4096-step chunk, 21 does
+    # not; a 7-step chunk is not divided by 2 and is shorter than 21 and 64.
+    DELAYS = (0, 1, 20, 63)
+
+    @staticmethod
+    def config(d, monkeypatch, n_traj=3):
+        # d = 1 needs dt > tau/20, which SimConfig refuses; the loop must be
+        # exact at any d, so the check is lifted here.
+        monkeypatch.setattr(SimConfig, "__post_init__", lambda self: None)
+        dt = 1e-3
+        return SimConfig(tau=d * dt, dt=dt, burn_in=0.5, horizon=4.0, n_traj=n_traj, seed=17)
+
+    @staticmethod
+    def assert_identical(got, want):
+        for field in ("rho_hat", "std_err", "per_node_var", "per_traj_mean"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    @pytest.fixture(params=[None, 7], ids=["chunk4096", "chunk7"])
+    def chunk(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(oracles, "_NOISE_CHUNK", request.param)
+
+    @pytest.mark.parametrize("n_traj", [3, 1])
+    @pytest.mark.parametrize("d", DELAYS)
+    def test_first_order_identity_input(self, p3, d, n_traj, chunk, monkeypatch):
+        cfg = self.config(d, monkeypatch, n_traj)
+        var = np.array([1.0, 0.5, 2.0])
+        got = simulate(p3, np.eye(3), var, cfg)
+        self.assert_identical(got, stepwise_simulate(p3, np.eye(3), var, cfg))
+
+    @pytest.mark.parametrize("d", DELAYS)
+    def test_second_order(self, p3, d, chunk, monkeypatch):
+        cfg = self.config(d, monkeypatch)
+        var = np.array([1.0, 0.5, 2.0])
+        got = simulate_second_order(p3, 0.7, var, cfg)
+        self.assert_identical(got, stepwise_simulate_second_order(p3, 0.7, var, cfg))
+
+    @pytest.mark.parametrize("structure", [SENSOR, COMM_CHANNEL], ids=lambda s: s.name)
+    @pytest.mark.parametrize("d", [0, 20])
+    def test_mixed_input(self, structure, d, monkeypatch):
+        # A dense B: the GEMM noise mix sums each row in another order than
+        # the former einsum, which moves the last bits at this size.
+        gm = build_matrices(ring_chord_graph(24, 3, mean_degree=4))
+        cfg = self.config(d, monkeypatch)
+        b = input_matrix(gm, structure)
+        var = np.linspace(0.5, 1.5, b.shape[1])
+        got = simulate(gm, b, var, cfg)
+        want = stepwise_simulate(gm, b, var, cfg)
+        for field in ("rho_hat", "std_err", "per_node_var", "per_traj_mean"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12)
+
+
 class TestMcNodeCentrality:
     CFG = dict(dt=2e-3, burn_in=20.0, horizon=120.0, n_traj=16, seed=11)
+
+    def test_config_delay_replaced_by_argument(self, k2):
+        fast = dict(self.CFG, burn_in=1.0, horizon=4.0, n_traj=3)
+        got = mc_node_centrality(k2, DYNAMICS, 0.0, SimConfig(tau=0.2, **fast))
+        want = mc_node_centrality(k2, DYNAMICS, 0.0, SimConfig(tau=0.0, **fast))
+        np.testing.assert_array_equal(got.eta_hat, want.eta_hat)
+        np.testing.assert_array_equal(got.std_err, want.std_err)
 
     def test_k2_dynamics(self, k2):
         mc = mc_node_centrality(k2, DYNAMICS, 0.0, SimConfig(tau=0.0, **self.CFG))
