@@ -428,6 +428,84 @@ GOLDEN_CASES = [
             "--seed", "13",
         ],
     ),
+    # CSV of every subcommand, on dense, remapped and link ids.
+    (
+        "s5_measurement.csv",
+        [
+            "centrality", "--graph", "s5.edges", "--structure", "measurement", "--tau", "0",
+            "--format", "csv",
+        ],
+    ),
+    (
+        "sparse9w_centrality_dynamics.csv",
+        [
+            "centrality", "--graph", "sparse9w.edges", "--structure", "dynamics", "--tau", "0.1",
+            "--format", "csv",
+        ],
+    ),
+    (
+        "sparse9w_rank_sensor.csv",
+        [
+            "rank", "--graph", "sparse9w.edges", "--structure", "sensor", "--tau", "0.1",
+            "--format", "csv",
+        ],
+    ),
+    (
+        "sparse9w_sensitivity_sensor.csv",
+        [
+            "sensitivity", "--graph", "sparse9w.edges", "--structure", "sensor", "--tau", "0.1",
+            "--format", "csv",
+        ],
+    ),
+    (
+        "ex1_perf_comm.csv",
+        [
+            "perf", "--graph", "ex1_8n20e.edges", "--structure", "comm-channel", "--tau", "0.1",
+            "--format", "csv",
+        ],
+    ),
+    ("k2_stability.csv", ["stability", "--graph", "k2.edges", "--tau", "0.5", "--format", "csv"]),
+    (
+        "ex1_sweep_scale.csv",
+        [
+            "sweep-scale", "--graph", "ex1_8n20e.edges", "--structure", "dynamics",
+            "--tau", "0.1", "--alpha-grid", "0.25,0.5,1,2", "--format", "csv",
+        ],
+    ),
+    (
+        "sparse9w_sweep_comm.csv",
+        [
+            "sweep-tau", "--graph", "sparse9w.edges", "--structure", "comm-channel",
+            "--tau-grid", "0,0.1,0.2,0.23", "--format", "csv",
+        ],
+    ),
+    (
+        "sparse9w_sweep_dynamics.csv",
+        [
+            "sweep-tau", "--graph", "sparse9w.edges", "--structure", "dynamics",
+            "--tau-grid", "0,0.1,0.15,0.2,0.23", "--format", "csv",
+        ],
+    ),
+    (
+        "p3_second_order.csv",
+        ["second-order", "--graph", "p3.edges", "--b", "1.0", "--tau", "0", "--format", "csv"],
+    ),
+    (
+        "k2_simulate.csv",
+        [
+            "simulate", "--graph", "k2.edges", "--structure", "dynamics", "--tau", "0",
+            "--dt", "0.005", "--burn-in", "2", "--horizon", "20", "--traj", "4",
+            "--seed", "13", "--format", "csv",
+        ],
+    ),
+    (
+        "k2_verify.csv",
+        [
+            "verify", "--graph", "k2.edges", "--structure", "dynamics", "--tau", "0",
+            "--dt", "0.005", "--burn-in", "2", "--horizon", "20", "--traj", "4",
+            "--seed", "13", "--format", "csv",
+        ],
+    ),
 ]
 
 
