@@ -20,6 +20,7 @@ from .centrality import (
     StructureTag,
     adversarial_allocation,
     centrality_report,
+    check_variances,
     emitter_display_diagnostic,
     input_matrix,
     link_centrality,
@@ -65,6 +66,7 @@ from .spectral import (
     StabilityInfo,
     decompose,
     kernel,
+    require_stable,
     stability_margin,
 )
 

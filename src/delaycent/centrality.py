@@ -23,11 +23,10 @@ from .graph import GraphMatrices, check_scale
 from .report import CentralityReport, make_report
 from .spectral import (
     SpectralDecomposition,
-    StabilityError,
     StabilityInfo,
     decompose,
     kernel,
-    stability_margin,
+    require_stable,
 )
 
 
@@ -149,6 +148,23 @@ def noise_channels(gm: GraphMatrices, structure: NoiseStructure) -> int:
     return gm.n if structure.indexes_nodes else gm.num_edges
 
 
+def check_variances(variances, channels: int) -> np.ndarray:
+    """``variances`` as a float vector of one finite, nonnegative value per
+    noise channel; anything else raises :class:`ValueError`."""
+    try:
+        var = np.asarray(variances, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"variances must be numbers: {exc}") from None
+    if var.shape != (channels,):
+        raise ValueError(
+            f"variance vector has shape {var.shape}; {channels} noise channels"
+            f" need shape ({channels},)"
+        )
+    if not (np.isfinite(var).all() and (var >= 0).all()):
+        raise ValueError("variances must be finite and nonnegative")
+    return var
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """A noise structure plus per-channel variances (defaults to all ones)."""
@@ -158,25 +174,12 @@ class NoiseSpec:
 
     def resolve_variances(self, gm: GraphMatrices) -> np.ndarray:
         m = noise_channels(gm, self.structure)
-        if self.variances is None:
-            return np.ones(m)
-        var = np.asarray(self.variances, dtype=float)
-        if var.shape != (m,):
-            raise ValueError(
-                f"variance vector has shape {var.shape}, expected ({m},)"
-                f" for structure {self.structure.name}"
-            )
-        if (var < 0).any() or not np.isfinite(var).all():
-            raise ValueError("variances must be finite and nonnegative")
-        return var
+        return np.ones(m) if self.variances is None else check_variances(self.variances, m)
 
 
 def _stable_decomposition(gm: GraphMatrices, tau: float) -> tuple[SpectralDecomposition, StabilityInfo]:
     dec = decompose(gm.laplacian, require_connected=True)
-    info = stability_margin(dec, tau)
-    if not info.stable:
-        raise StabilityError(tau, info.tau_max)
-    return dec, info
+    return dec, require_stable(dec, tau)
 
 
 def centrality_kernel(dec: SpectralDecomposition, tau: float) -> np.ndarray:
@@ -259,10 +262,7 @@ def _reports(
     Every structure contracts ``(1/2) s^2 (Q^T B)^2 g`` with the kernel values
     g of each delay; the channel scale s is ``alpha w_e`` for the
     communication channel and 1 otherwise."""
-    infos = [stability_margin(dec, t) for t in taus]
-    for t, info in zip(taus, infos):
-        if not info.stable:
-            raise StabilityError(t, info.tau_max)
+    infos = [require_stable(dec, t) for t in taus]
     comm = structure.tag is StructureTag.COMM_CHANNEL
     scale = 0.5 * (alpha * gm.graph.w) ** 2 if comm else 0.5
     indices = scale * _modal_power(gm, dec, structure, [centrality_kernel(dec, t) for t in taus], alpha)

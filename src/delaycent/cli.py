@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager, nullcontext
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any, Sequence
@@ -120,28 +121,28 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
+@contextmanager
+def _writing(path: str | Path | None):
+    """A text handle on ``path`` (stdout when None); any OSError opening or
+    writing it becomes a usage error that names the path."""
+    try:
+        with (open(path, "w", newline="") if path else nullcontext(sys.stdout)) as handle:
+            yield handle
+    except OSError as exc:
+        raise ValueError(f"cannot write {path or 'standard output'}: {exc}") from exc
 
 
 def _emit(payload: dict, header, rows, fmt: str, output: str | None) -> None:
     """Write one report.  JSON is a single sorted document; CSV streams row
     by row so long sweeps never buffer their full table."""
-    if fmt == "json":
-        _write_output(_to_json(payload) + "\n", output)
-        return
-    handle = open(output, "w", newline="") if output else sys.stdout
-    try:
+    with _writing(output) as handle:
+        if fmt == "json":
+            handle.write(_to_json(payload) + "\n")
+            return
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_csv_cell(v) for v in row])
-    finally:
-        if output:
-            handle.close()
 
 
 class _IdMap:
@@ -152,11 +153,6 @@ class _IdMap:
         self.ids = ids
         self.original = ids.tolist()
         self.identity = self.original == list(range(len(self.original)))
-
-    def links(self, graph: WeightedGraph) -> np.ndarray:
-        """Raw endpoint ids of every edge, in canonical edge order: an (m, 2)
-        array of the ids' own dtype."""
-        return np.stack([self.ids[graph.i], self.ids[graph.j]], axis=1)
 
 
 def remap_node_ids(records, declared_n: int | None) -> tuple[WeightedGraph, _IdMap]:
@@ -189,7 +185,8 @@ def _load_graph(args) -> tuple[GraphMatrices, _IdMap]:
     graph, id_map = remap_node_ids(records, declared_n)
     if not id_map.identity:
         side = Path(args.output + ".idmap.json") if args.output else path.with_suffix(path.suffix + ".idmap.json")
-        side.write_text(_to_json({str(orig): k for k, orig in enumerate(id_map.original)}) + "\n")
+        with _writing(side) as handle:
+            handle.write(_to_json({str(orig): k for k, orig in enumerate(id_map.original)}) + "\n")
         print(f"note: sparse node ids remapped; map written to {side}", file=sys.stderr)
     if getattr(args, "verbose", False):
         print(
@@ -214,24 +211,25 @@ def _parse_grid(text: str, name: str) -> list[float]:
     return values
 
 
-def _load_sigma(path: str | None, expected: int, name: str) -> np.ndarray | None:
+def _load_sigma(path: str | None):
+    """The parsed content of a JSON variance file (None without one); the
+    library checks it against the noise channels."""
     if path is None:
         return None
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read variance file {path}: {exc}") from exc
-    var = np.asarray(data, dtype=float)
-    if var.shape != (expected,):
-        raise ValueError(
-            f"variance file {path} has {var.size} entries, expected {expected} for {name}"
-        )
-    return var
 
 
-def _link_ids(gm: GraphMatrices, id_map: _IdMap, structure: ct.NoiseStructure) -> np.ndarray | None:
-    """Raw endpoint ids of every edge if the structure indexes links, else None."""
-    return id_map.links(gm.graph) if structure.indexes_links else None
+def _channels(gm: GraphMatrices, id_map: _IdMap, links: bool) -> tuple[np.ndarray | None, list]:
+    """Raw names of the noise channels: for links, the (m, 2) raw endpoint
+    ids of every edge in the ids' own dtype, and the id cells ``(e, i, j)``
+    of each link; for nodes, None and the id cell ``(raw id,)`` of each node."""
+    if not links:
+        return None, list(zip(id_map.original))
+    ends = id_map.ids[np.stack([gm.graph.i, gm.graph.j], axis=1)]
+    return ends, [(e, i, j) for e, (i, j) in enumerate(ends.tolist())]
 
 
 def _report_payload(report: CentralityReport, id_map: _IdMap, links: np.ndarray | None) -> dict:
@@ -247,28 +245,26 @@ def _report_payload(report: CentralityReport, id_map: _IdMap, links: np.ndarray 
     return payload
 
 
-def _report_rows(report: CentralityReport, id_map: _IdMap, links: np.ndarray | None):
-    rank_of = {idx: pos for pos, idx in enumerate(report.ranking)}
-    rows = []
-    if links is not None:
-        header = ["id", "i", "j", "index", "rank"]
-        for e, (i, j) in enumerate(links.tolist()):
-            rows.append([e, i, j, report.indices[e], rank_of[e]])
-    else:
-        header = ["id", "index", "rank"]
-        for k in range(report.size):
-            rows.append([id_map.original[k], report.indices[k], rank_of[k]])
-    return header, rows
+def _index_rows(report: CentralityReport, ids: list, lead=(), tail=()):
+    """CSV rows ``[*lead, *id, index, rank, *tail]`` of a report, one per
+    channel k, with ``id`` the cells ``ids[k]``."""
+    rank_of = dict(zip(report.ranking, range(report.size)))
+    return ([*lead, *ids[k], x, rank_of[k], *tail] for k, x in enumerate(report.indices))
 
 
-def _structure_from_args(args) -> ct.NoiseStructure:
-    return ct.NoiseStructure.from_name(args.structure)
+def _report_output(report: CentralityReport, id_map: _IdMap, links: np.ndarray | None, ids: list):
+    """Payload, CSV header and rows of one report; link rows name both ends."""
+    header = ["id", "i", "j", "index", "rank"] if links is not None else ["id", "index", "rank"]
+    return _report_payload(report, id_map, links), header, _index_rows(report, ids)
 
 
-def _cmd_stability(args) -> int:
-    gm, _ = _load_graph(args)
-    dec = decompose(gm.laplacian, require_connected=True)
-    info = stability_margin(dec, args.tau)
+def _fields(payload: dict, header: list):
+    """A one-row report: its CSV row is the payload's ``header`` fields."""
+    return payload, header, [[payload[k] for k in header]]
+
+
+def _cmd_stability(args, gm, id_map):
+    info = stability_margin(decompose(gm.laplacian, require_connected=True), args.tau)
     payload = {
         "tau": args.tau,
         "tau_max": info.tau_max,
@@ -277,40 +273,30 @@ def _cmd_stability(args) -> int:
         "n": gm.n,
         "num_edges": gm.num_edges,
     }
-    header = ["tau", "tau_max", "margin", "stable", "n", "num_edges"]
-    rows = [[payload[k] for k in header]]
-    _emit(payload, header, rows, args.format, args.output)
-    return EXIT_OK
+    return _fields(payload, ["tau", "tau_max", "margin", "stable", "n", "num_edges"])
 
 
-def _cmd_centrality(args) -> int:
-    gm, id_map = _load_graph(args)
-    structure = _structure_from_args(args)
+def _cmd_centrality(args, gm, id_map):
+    structure = ct.NoiseStructure.from_name(args.structure)
     report = ct.centrality_report(gm, structure, args.tau)
-    links = _link_ids(gm, id_map, structure)
-    payload = _report_payload(report, id_map, links)
-    header, rows = _report_rows(report, id_map, links)
-    _emit(payload, header, rows, args.format, args.output)
-    return EXIT_OK
+    return _report_output(report, id_map, *_channels(gm, id_map, structure.indexes_links))
 
 
-def _cmd_rank(args) -> int:
-    gm, id_map = _load_graph(args)
-    structure = _structure_from_args(args)
+def _cmd_rank(args, gm, id_map):
+    structure = ct.NoiseStructure.from_name(args.structure)
     report = ct.centrality_report(gm, structure, args.tau)
-    full = _report_payload(report, id_map, _link_ids(gm, id_map, structure))
+    links, _ = _channels(gm, id_map, structure.indexes_links)
+    full = _report_payload(report, id_map, links)
     payload = {k: full[k] for k in ("tau", "structure", "ranking", "tie_groups", "tau_max", "margin")}
     rows = [[pos, idx] for pos, idx in enumerate(payload["ranking"])]
-    _emit(payload, ["rank", "id"], rows, args.format, args.output)
-    return EXIT_OK
+    return payload, ["rank", "id"], rows
 
 
-def _cmd_sensitivity(args) -> int:
-    gm, id_map = _load_graph(args)
-    structure = _structure_from_args(args)
+def _cmd_sensitivity(args, gm, id_map):
+    structure = ct.NoiseStructure.from_name(args.structure)
     dec, info = ct._stable_decomposition(gm, args.tau)
     kappa = ct._link_sensitivity(gm, dec, structure, args.tau)
-    links = id_map.links(gm.graph)
+    links, ids = _channels(gm, id_map, True)
     payload = {
         "tau": args.tau,
         "structure": structure.name,
@@ -319,39 +305,30 @@ def _cmd_sensitivity(args) -> int:
         "tau_max": info.tau_max,
         "margin": info.margin,
     }
-    rows = [[e, i, j, kappa[e]] for e, (i, j) in enumerate(links.tolist())]
-    _emit(payload, ["id", "i", "j", "kappa"], rows, args.format, args.output)
-    return EXIT_OK
+    return payload, ["id", "i", "j", "kappa"], ([*cells, k] for cells, k in zip(ids, kappa))
 
 
-def _cmd_perf(args) -> int:
-    gm, _ = _load_graph(args)
-    structure = _structure_from_args(args)
-    var = _load_sigma(args.sigma, ct.noise_channels(gm, structure), structure.name)
+def _cmd_perf(args, gm, id_map):
+    spec = ct.NoiseSpec(ct.NoiseStructure.from_name(args.structure), _load_sigma(args.sigma))
     dec, info = ct._stable_decomposition(gm, args.tau)
-    rho = ct._performance(gm, dec, ct.NoiseSpec(structure, var), args.tau)
     payload = {
         "tau": args.tau,
-        "structure": structure.name,
-        "rho_ss": rho,
+        "structure": spec.structure.name,
+        "rho_ss": ct._performance(gm, dec, spec, args.tau),
         "tau_max": info.tau_max,
         "margin": info.margin,
     }
-    header = ["tau", "structure", "rho_ss", "tau_max", "margin"]
-    _emit(payload, header, [[payload[k] for k in header]], args.format, args.output)
-    return EXIT_OK
+    return _fields(payload, ["tau", "structure", "rho_ss", "tau_max", "margin"])
 
 
-def _cmd_sweep_tau(args) -> int:
-    gm, id_map = _load_graph(args)
-    structure = _structure_from_args(args)
+def _cmd_sweep_tau(args, gm, id_map):
+    structure = ct.NoiseStructure.from_name(args.structure)
     grid = _parse_grid(args.tau_grid, "--tau-grid")
     result = ct.tau_sweep(gm, structure, grid)
-    links = _link_ids(gm, id_map, structure)
-    is_link = links is not None
-    reports = [_report_payload(r, id_map, links) for r in result.reports]
+    links, cells = _channels(gm, id_map, structure.indexes_links)
+    ids = [c[:1] for c in cells]  # sweep rows name a link by its id alone
     rank_changes = result.rank_changes
-    if not is_link and not id_map.identity:
+    if links is None and not id_map.identity:
         # Raw ids keep their own dtype: uint64 or object ids never pass through float.
         rank_changes = np.empty(rank_changes.shape, dtype=id_map.ids.dtype)
         rank_changes[:, 0] = result.rank_changes[:, 0]
@@ -359,27 +336,19 @@ def _cmd_sweep_tau(args) -> int:
     payload = {
         "structure": structure.name,
         "tau_grid": grid,
-        "reports": reports,
+        "reports": [_report_payload(r, id_map, links) for r in result.reports],
         "rank_changes": rank_changes,
     }
-    def rows():
-        for tau, report in zip(grid, result.reports):
-            rank_of = {idx: pos for pos, idx in enumerate(report.ranking)}
-            for k in range(report.size):
-                ident = k if is_link else id_map.original[k]
-                yield [tau, ident, report.indices[k], rank_of[k]]
-
-    _emit(payload, ["tau", "id", "index", "rank"], rows(), args.format, args.output)
-    return EXIT_OK
+    rows = (row for t, r in zip(grid, result.reports) for row in _index_rows(r, ids, [t]))
+    return payload, ["tau", "id", "index", "rank"], rows
 
 
-def _cmd_sweep_scale(args) -> int:
-    gm, id_map = _load_graph(args)
-    structure = _structure_from_args(args)
+def _cmd_sweep_scale(args, gm, id_map):
+    structure = ct.NoiseStructure.from_name(args.structure)
     grid = _parse_grid(args.alpha_grid, "--alpha-grid")
     result = ct.scale_sweep(gm, structure, args.tau, grid)
-    links = _link_ids(gm, id_map, structure)
-    is_link = links is not None
+    links, cells = _channels(gm, id_map, structure.indexes_links)
+    ids = [c[:1] for c in cells]  # sweep rows name a link by its id alone
     payload = {
         "structure": structure.name,
         "tau": args.tau,
@@ -388,25 +357,15 @@ def _cmd_sweep_scale(args) -> int:
         "baseline": _report_payload(result.baseline, id_map, links),
         "matches_baseline": result.matches_baseline,
     }
-    def rows():
-        for alpha, report, match in zip(grid, result.reports, result.matches_baseline):
-            rank_of = {idx: pos for pos, idx in enumerate(report.ranking)}
-            for k in range(report.size):
-                ident = k if is_link else id_map.original[k]
-                yield [alpha, ident, report.indices[k], rank_of[k], match]
-
-    _emit(payload, ["alpha", "id", "index", "rank", "matches_baseline"], rows(), args.format, args.output)
-    return EXIT_OK
+    reports = zip(grid, result.reports, result.matches_baseline)
+    rows = (row for a, r, match in reports for row in _index_rows(r, ids, [a], [match]))
+    return payload, ["alpha", "id", "index", "rank", "matches_baseline"], rows
 
 
-def _cmd_second_order(args) -> int:
-    gm, id_map = _load_graph(args)
+def _cmd_second_order(args, gm, id_map):
     cfg = SecondOrderConfig(b=args.b, tau=args.tau, quad_tol=args.quad_tol)
     report = secondorder.so_node_centrality(gm, cfg)
-    payload = _report_payload(report, id_map, None)
-    header, rows = _report_rows(report, id_map, None)
-    _emit(payload, header, rows, args.format, args.output)
-    return EXIT_OK
+    return _report_output(report, id_map, *_channels(gm, id_map, False))
 
 
 def _sim_config(args) -> oracles.SimConfig:
@@ -420,28 +379,20 @@ def _sim_config(args) -> oracles.SimConfig:
     )
 
 
-def _cmd_simulate(args) -> int:
-    gm, _ = _load_graph(args)
-    structure = _structure_from_args(args)
-    channels = ct.noise_channels(gm, structure)
-    var = _load_sigma(args.sigma, channels, structure.name)
-    if var is None:
-        var = np.ones(channels)
-    cfg = _sim_config(args)
-    result = oracles.simulate(gm, ct.input_matrix(gm, structure), var, cfg)
+def _cmd_simulate(args, gm, id_map):
+    structure = ct.NoiseStructure.from_name(args.structure)
+    var = ct.NoiseSpec(structure, _load_sigma(args.sigma)).resolve_variances(gm)
+    result = oracles.simulate(gm, ct.input_matrix(gm, structure), var, _sim_config(args))
     payload = result.to_dict()
-    header = ["rho_hat", "std_err", "tau_snapped", "effective_samples"] + [
-        f"var_{k}" for k in range(gm.n)
-    ]
-    row = [result.rho_hat, result.std_err, result.tau_snapped, result.effective_samples]
-    row += [v for v in result.per_node_var]
-    _emit(payload, header, [row], args.format, args.output)
-    return EXIT_OK
+    header = ["rho_hat", "std_err", "tau_snapped", "effective_samples"]
+    row = [payload[k] for k in header] + payload["per_node_var"]
+    return payload, header + [f"var_{k}" for k in range(gm.n)], [row]
 
 
-def _cmd_verify(args) -> int:
-    gm, _ = _load_graph(args)
-    structure = _structure_from_args(args)
+def _cmd_verify(args, gm, id_map):
+    """Closed form against Monte Carlo; the verdict goes to stderr, and a
+    failed one (``passed`` false in the payload) exits 4."""
+    structure = ct.NoiseStructure.from_name(args.structure)
     rho_closed = ct.performance(gm, ct.NoiseSpec(structure), args.tau)
     cfg = _sim_config(args)
     result = oracles.simulate(
@@ -459,15 +410,14 @@ def _cmd_verify(args) -> int:
         "n_sigma": 3.0,
         "passed": passed,
     }
-    header = ["tau", "structure", "rho_closed_form", "rho_hat", "std_err", "z_score", "passed"]
-    _emit(payload, header, [[payload[k] for k in header]], args.format, args.output)
     verdict = "PASS" if passed else "FAIL"
     print(
         f"{verdict}: closed form {rho_closed:.6g} vs MC {result.rho_hat:.6g}"
         f" +/- {result.std_err:.3g} (z = {z:.2f})",
         file=sys.stderr,
     )
-    return EXIT_OK if passed else EXIT_NUMERIC
+    header = ["tau", "structure", "rho_closed_form", "rho_hat", "std_err", "z_score", "passed"]
+    return _fields(payload, header)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -550,14 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments, dispatch, and map failures to exit codes."""
+    """Parse arguments, run the subcommand, write its report, map failures to exit codes."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        gm, id_map = _load_graph(args)
+        payload, header, rows = args.func(args, gm, id_map)
+        _emit(payload, header, rows, args.format, args.output)
     except (StabilityError, DisconnectedGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
@@ -573,6 +525,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_NUMERIC if payload.get("passed") is False else EXIT_OK
 
 
 def main() -> None:

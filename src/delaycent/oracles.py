@@ -17,15 +17,15 @@ job is to disagree loudly if a formula is wrong.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from .centrality import NoiseStructure, input_matrix, noise_channels
+from .centrality import NoiseStructure, check_variances, input_matrix, noise_channels
 from .graph import GraphMatrices
 from .quadrature import integrate_adaptive
-from .spectral import StabilityError, check_delay, check_positive, decompose, stability_margin
+from .spectral import StabilityError, check_delay, check_positive, decompose, require_stable
 
 # Steps of pre-generated noise held in memory at a time.
 _NOISE_CHUNK = 4096
@@ -121,15 +121,7 @@ class SimConfig:
         return self.delay_steps * self.dt
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "tau": self.tau,
-            "dt": self.dt,
-            "burn_in": self.burn_in,
-            "horizon": self.horizon,
-            "n_traj": self.n_traj,
-            "seed": self.seed,
-            "scheme": self.scheme,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -217,18 +209,9 @@ def simulate(
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != n:
         raise ValueError(f"input matrix must have {n} rows, got shape {b.shape}")
-    variances = np.asarray(variances, dtype=float)
-    if variances.shape != (b.shape[1],):
-        raise ValueError(
-            f"variance vector of shape {variances.shape} does not match {b.shape[1]} channels"
-        )
-    if (variances < 0).any():
-        raise ValueError("variances must be nonnegative")
+    variances = check_variances(variances, b.shape[1])
     dec = decompose(lap, require_connected=True)
-    tau = max(cfg.tau, cfg.tau_snapped)
-    info = stability_margin(dec, tau)
-    if not info.stable:
-        raise StabilityError(tau, info.tau_max)
+    require_stable(dec, max(cfg.tau, cfg.tau_snapped))
 
     b_sigma = b * np.sqrt(variances)[None, :]
     # (steps, channels, traj) white increments -> per-state forcing
@@ -250,9 +233,7 @@ def simulate_second_order(
     check_positive(b_gain, "velocity gain")
     lap = gm.laplacian
     n = gm.n
-    variances = np.asarray(variances, dtype=float)
-    if variances.shape != (n,):
-        raise ValueError(f"variance vector of shape {variances.shape}, expected ({n},)")
+    variances = check_variances(variances, n)
     decompose(lap, require_connected=True)
     sigma = np.sqrt(variances)
     return _run_euler_maruyama(cfg, lap, n, lambda z: sigma[None, :, None] * z, b_gain)

@@ -25,6 +25,9 @@ SECOND_ORDER_TAG = "second-order-dynamics"
 
 # Panels scanned up front for near-zeros of the denominator kernel.
 _SCAN_POINTS = 2048
+# Factor by which the truncation frequency grows until the analytic
+# ~1/omega^4 tail bound passes.
+_OMEGA_GROWTH = 2.0
 
 
 class SecondOrderStabilityError(RuntimeError):
@@ -36,23 +39,20 @@ class SecondOrderConfig:
     """Second-order evaluation parameters.
 
     ``quad_tol`` is the absolute accuracy of each frequency integral;
-    ``panel_budget`` caps adaptive refinement; ``omega_growth`` is the
-    factor by which the truncation frequency grows until the analytic
-    ~1/omega^4 tail bound passes.
+    ``panel_budget`` caps adaptive refinement.
     """
 
     b: float
     tau: float = 0.0
     quad_tol: float = 1e-9
     panel_budget: int = 65536
-    omega_growth: float = 2.0
 
     def __post_init__(self) -> None:
         check_positive(self.b, "velocity gain b")
         check_delay(self.tau)
         check_positive(self.quad_tol, "quadrature tolerance quad_tol")
-        if self.panel_budget < 4 or self.omega_growth <= 1.0:
-            raise ValueError("panel_budget must be >= 4 and omega_growth > 1")
+        if self.panel_budget < 4:
+            raise ValueError("panel_budget must be >= 4")
 
 
 def h_kernel(lam: float, tau: float, b: float, omega) -> np.ndarray | float:
@@ -65,7 +65,7 @@ def h_kernel(lam: float, tau: float, b: float, omega) -> np.ndarray | float:
     return value if value.ndim else float(value)
 
 
-def _truncation_frequency(lam: float, tau: float, b: float, tol: float, growth: float) -> float:
+def _truncation_frequency(lam: float, tau: float, b: float, tol: float) -> float:
     """Smallest scanned cutoff with a certified tail below ``tol / 2``.
 
     For ``omega >= max(sqrt(8 lam), 8 b lam)`` the kernel dominates
@@ -77,7 +77,7 @@ def _truncation_frequency(lam: float, tau: float, b: float, tol: float, growth: 
     if tau > 0:
         omega_max = max(omega_max, 50.0 / tau)
     while 2.0 / (3.0 * math.pi * omega_max**3) > 0.5 * tol:
-        omega_max *= growth
+        omega_max *= _OMEGA_GROWTH
     return omega_max
 
 
@@ -87,7 +87,6 @@ def f_integral(
     b: float,
     quad_tol: float = 1e-9,
     panel_budget: int = 65536,
-    omega_growth: float = 2.0,
 ) -> float:
     """Per-mode steady-state position variance ``(1/2pi) int dw / h``.
 
@@ -98,7 +97,7 @@ def f_integral(
     """
     check_positive(lam, "eigenvalue")
     check_positive(b, "velocity gain b")
-    omega_max = _truncation_frequency(lam, tau, b, quad_tol, omega_growth)
+    omega_max = _truncation_frequency(lam, tau, b, quad_tol)
     h_floor = 1e-12 * max(1.0, lam) ** 2
 
     def integrand(omega: np.ndarray) -> np.ndarray:
@@ -133,7 +132,6 @@ def _f_per_eigenvalue(eigenvalues: np.ndarray, cfg: SecondOrderConfig) -> np.nda
                     cfg.b,
                     quad_tol=cfg.quad_tol,
                     panel_budget=cfg.panel_budget,
-                    omega_growth=cfg.omega_growth,
                 )
             except QuadratureError as exc:
                 raise QuadratureError(f"mode at eigenvalue {lam:.6g}: {exc}") from exc

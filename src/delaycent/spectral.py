@@ -161,3 +161,12 @@ def stability_margin(dec: SpectralDecomposition, tau: float) -> StabilityInfo:
     tau_max = math.pi / (2.0 * lam_max) if lam_max > 0 else math.inf
     margin = tau_max - tau
     return StabilityInfo(tau_max=tau_max, margin=margin, stable=tau < tau_max - STABILITY_SLACK)
+
+
+def require_stable(dec: SpectralDecomposition, tau: float) -> StabilityInfo:
+    """:func:`stability_margin` at a delay that must be stable: raises
+    :class:`StabilityError`, naming ``tau_max``, when it is not."""
+    info = stability_margin(dec, tau)
+    if not info.stable:
+        raise StabilityError(tau, info.tau_max)
+    return info

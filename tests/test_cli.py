@@ -224,6 +224,47 @@ class TestExitCodes:
         assert code == 4
         assert "marginal" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_output_exit_2(self, fmt, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.out"
+        argv = ["--structure", "dynamics", "--tau", "0", "--format", fmt, "--output", str(out)]
+        assert run(["centrality", "--graph", str(FIXTURES / "p3.edges"), *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_unwritable_idmap_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        (tmp_path / "report.json.idmap.json").mkdir()
+        code = run([
+            "centrality", "--graph", str(FIXTURES / "sparse9w.edges"), "--structure", "dynamics",
+            "--tau", "0", "--output", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}.idmap.json: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["perf", "simulate"])
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("[1.0, NaN, 1.0]", "variances must be finite and nonnegative"),
+            ("[1.0, Infinity, 1.0]", "variances must be finite and nonnegative"),
+            ("[1.0, -0.5, 1.0]", "variances must be finite and nonnegative"),
+            ('{"0": 1.0}', "variances must be numbers"),
+            ("[1.0, 1.0]", "3 noise channels need shape (3,)"),
+            ("[1.0,", "cannot read variance file"),
+        ],
+    )
+    def test_bad_variance_file_exit_2(self, command, content, message, tmp_path, capsys):
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(content)
+        code = run([
+            command, "--graph", str(FIXTURES / "p3.edges"), "--structure", "dynamics",
+            "--tau", "0.1", "--sigma", str(sigma),
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -164,6 +164,13 @@ class TestSimulate:
             simulate(k2, np.eye(2), np.ones(3), cfg)
         with pytest.raises(ValueError, match="nonnegative"):
             simulate(k2, np.eye(2), np.array([1.0, -1.0]), cfg)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            simulate(k2, np.eye(2), np.array([1.0, np.nan]), cfg)
+        with pytest.raises(ValueError, match="channels"):
+            simulate_second_order(k2, 1.0, np.ones(3), cfg)
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                simulate_second_order(k2, 1.0, np.array([1.0, bad]), cfg)
 
     def test_matches_closed_form_k2(self, k2):
         cfg = SimConfig(tau=0.2, dt=2e-3, burn_in=20.0, horizon=150.0, n_traj=16, seed=101)
