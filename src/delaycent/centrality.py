@@ -194,14 +194,17 @@ def performance(gm: GraphMatrices, spec: NoiseSpec, tau: float) -> float:
     (2 lam_k (1 - sin(tau lam_k)))`` with ``b_k`` the modal noise power
     ``[Q^T B diag(sigma^2) B^T Q]_kk``.
     """
-    dec, _ = _stable_decomposition(gm, tau)
-    return _performance(gm, dec, spec, tau)
-
-
-def _performance(gm: GraphMatrices, dec: SpectralDecomposition, spec: NoiseSpec, tau: float) -> float:
-    """:func:`performance` on the decomposition ``dec`` of a stable configuration."""
-    b = input_matrix(gm, spec.structure)
     var = spec.resolve_variances(gm)
+    dec, _ = _stable_decomposition(gm, tau)
+    return _performance(gm, dec, spec.structure, var, tau)
+
+
+def _performance(
+    gm: GraphMatrices, dec: SpectralDecomposition, structure: NoiseStructure, var: np.ndarray, tau: float
+) -> float:
+    """:func:`performance` on the decomposition ``dec`` of a stable configuration
+    and the checked variances ``var``."""
+    b = input_matrix(gm, structure)
     modal = dec.eigenvectors.T @ b
     power = (modal**2) @ var
     lam = dec.nonzero_eigenvalues()

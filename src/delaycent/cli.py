@@ -309,12 +309,13 @@ def _cmd_sensitivity(args, gm, id_map):
 
 
 def _cmd_perf(args, gm, id_map):
-    spec = ct.NoiseSpec(ct.NoiseStructure.from_name(args.structure), _load_sigma(args.sigma))
+    structure = ct.NoiseStructure.from_name(args.structure)
+    var = ct.NoiseSpec(structure, _load_sigma(args.sigma)).resolve_variances(gm)
     dec, info = ct._stable_decomposition(gm, args.tau)
     payload = {
         "tau": args.tau,
-        "structure": spec.structure.name,
-        "rho_ss": ct._performance(gm, dec, spec, args.tau),
+        "structure": structure.name,
+        "rho_ss": ct._performance(gm, dec, structure, var, args.tau),
         "tau_max": info.tau_max,
         "margin": info.margin,
     }
@@ -392,6 +393,8 @@ def _cmd_simulate(args, gm, id_map):
 def _cmd_verify(args, gm, id_map):
     """Closed form against Monte Carlo; the verdict goes to stderr, and a
     failed one (``passed`` false in the payload) exits 4."""
+    if args.traj < 2:
+        raise ValueError("verify needs at least two trajectories (--traj >= 2)")
     structure = ct.NoiseStructure.from_name(args.structure)
     rho_closed = ct.performance(gm, ct.NoiseSpec(structure), args.tau)
     cfg = _sim_config(args)

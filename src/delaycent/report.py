@@ -40,8 +40,8 @@ class CentralityReport:
     """One centrality evaluation: indices over nodes or links plus ranking.
 
     ``tau_max``/``margin`` describe the first-order stability region; they
-    are None for second-order reports, where no analytic boundary is
-    available.  ``extras`` carries structure-specific fields (for the
+    are None for second-order reports, whose boundary is checked but not
+    reported.  ``extras`` carries structure-specific fields (for the
     second-order report: the velocity gain and quadrature tolerance).
     """
 

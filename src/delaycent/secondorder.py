@@ -17,14 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphMatrices
-from .quadrature import QuadratureError, integrate_adaptive
+from .quadrature import QuadratureError, integrate_rows
 from .report import CentralityReport, make_report
-from .spectral import check_delay, check_positive, decompose
+from .spectral import StabilityError, check_delay, check_positive, decompose
 
 SECOND_ORDER_TAG = "second-order-dynamics"
 
 # Panels scanned up front for near-zeros of the denominator kernel.
 _SCAN_POINTS = 2048
+# Modes scanned at a time: bounds the scan's memory to this many grids.
+_SCAN_BLOCK = 16
 # Factor by which the truncation frequency grows until the analytic
 # ~1/omega^4 tail bound passes.
 _OMEGA_GROWTH = 2.0
@@ -81,6 +83,14 @@ def _truncation_frequency(lam: float, tau: float, b: float, tol: float) -> float
     return omega_max
 
 
+def critical_delay(lam: float, b: float) -> float:
+    """Delay at which mode ``lam`` of ``s^2 + lam (1 + b s) e^{-s tau}`` crosses
+    the imaginary axis.  It decreases in ``lam``, so ``critical_delay(lambda_max)``
+    bounds the stable delays of a graph."""
+    omega = math.sqrt((b * b * lam * lam + math.sqrt(b**4 * lam**4 + 4.0 * lam * lam)) / 2.0)
+    return math.atan(b * omega) / omega
+
+
 def f_integral(
     lam: float,
     tau: float,
@@ -88,56 +98,64 @@ def f_integral(
     quad_tol: float = 1e-9,
     panel_budget: int = 65536,
 ) -> float:
-    """Per-mode steady-state position variance ``(1/2pi) int dw / h``.
-
-    The integrand is even, so only ``[0, omega_max]`` is integrated and
-    doubled.  Near-zeros of ``h`` anywhere on the evaluation grid abort
-    with :class:`SecondOrderStabilityError` (the integral diverges at a
-    marginally stable configuration).
-    """
+    """Steady-state position variance ``(1/2pi) int dw / h`` of one mode: a
+    near-zero of ``h`` raises :class:`SecondOrderStabilityError`, an exhausted
+    panel budget :class:`QuadratureError`."""
     check_positive(lam, "eigenvalue")
-    check_positive(b, "velocity gain b")
-    omega_max = _truncation_frequency(lam, tau, b, quad_tol)
-    h_floor = 1e-12 * max(1.0, lam) ** 2
-
-    def integrand(omega: np.ndarray) -> np.ndarray:
-        h = h_kernel(lam, tau, b, omega)
-        if np.min(h) < h_floor:
-            raise SecondOrderStabilityError(
-                f"marginal/unstable configuration: h({lam:.6g}, {tau:.6g}, {b:.6g}, w)"
-                f" falls below {h_floor:.3e} near w={float(np.asarray(omega).flat[int(np.argmin(h))]):.6g}"
-            )
-        return 1.0 / h
-
-    # Coarse scan first so a divergence is reported even where adaptive
-    # refinement would not happen to sample.
-    integrand(np.linspace(0.0, omega_max, _SCAN_POINTS + 1))
-    half_line = integrate_adaptive(
-        integrand, 0.0, omega_max, abs_tol=0.5 * quad_tol * math.pi, max_panels=panel_budget
-    )
-    return half_line / math.pi
+    cfg = SecondOrderConfig(b=b, tau=tau, quad_tol=quad_tol, panel_budget=panel_budget)
+    return float(_f_per_eigenvalue(np.array([float(lam)]), cfg)[0])
 
 
 def _f_per_eigenvalue(eigenvalues: np.ndarray, cfg: SecondOrderConfig) -> np.ndarray:
-    """Evaluate the frequency integral once per distinct eigenvalue."""
-    out = np.empty_like(eigenvalues)
-    cache: list[tuple[float, float]] = []
-    for idx, lam in enumerate(eigenvalues):
-        hit = next((f for known, f in cache if abs(known - lam) <= 1e-12 * max(known, 1.0)), None)
-        if hit is None:
-            try:
-                hit = f_integral(
-                    float(lam),
-                    cfg.tau,
-                    cfg.b,
-                    quad_tol=cfg.quad_tol,
-                    panel_budget=cfg.panel_budget,
-                )
-            except QuadratureError as exc:
-                raise QuadratureError(f"mode at eigenvalue {lam:.6g}: {exc}") from exc
-            cache.append((float(lam), hit))
-        out[idx] = hit
-    return out
+    """Per-mode steady-state position variances ``(1/2pi) int dw / h``, once
+    per distinct eigenvalue (``eigenvalues`` ascend, so only the last distinct
+    one can be within 1e-12 relative), all modes refined together.
+
+    The integrand is even, so ``[0, omega_max]`` is integrated and doubled.
+    Near-zeros of ``h`` raise :class:`SecondOrderStabilityError` (the integral
+    diverges at a marginally stable configuration), on a coarse grid scanned
+    first or on a refined panel.  Of faulting modes the lowest one's error is
+    raised.
+    """
+    distinct: list[float] = []
+    group = []
+    for lam in eigenvalues.tolist():
+        if not distinct or abs(distinct[-1] - lam) > 1e-12 * max(distinct[-1], 1.0):
+            distinct.append(lam)
+        group.append(len(distinct) - 1)
+    lam = np.array(distinct)
+    tau, b = cfg.tau, cfg.b
+    omega_max = np.array([_truncation_frequency(x, tau, b, cfg.quad_tol) for x in distinct])
+    h_floor = 1e-12 * np.maximum(1.0, lam) ** 2
+    faults: dict[int, Exception] = {}
+
+    def integrand(rows: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        h = h_kernel(lam[rows, None, None], tau, b, omega)
+        low = h < h_floor[rows, None, None]
+        bad = low.any(axis=(1, 2))
+        for r in np.flatnonzero(bad):
+            p = np.argmax(low[r].any(axis=1))  # the first panel that falls low
+            faults.setdefault(int(rows[r]), SecondOrderStabilityError(
+                f"marginal/unstable configuration: h({lam[rows[r]]:.6g}, {tau:.6g}, {b:.6g}, w) falls"
+                f" below {h_floor[rows[r]]:.3e} near w={omega[r, p, np.argmin(h[r, p])]:.6g}"
+            ))
+        h[bad] = np.nan  # stops the row's refinement
+        return 1.0 / h
+
+    for start in range(0, lam.size, _SCAN_BLOCK):
+        rows = np.arange(start, min(start + _SCAN_BLOCK, lam.size))
+        integrand(rows, np.linspace(0.0, omega_max[rows], _SCAN_POINTS + 1, axis=1)[:, None])
+        if faults:
+            break
+    count = min(faults, default=lam.size)  # modes past a scan fault need no refinement
+    half_line, spent = integrate_rows(
+        integrand, np.zeros(count), omega_max[:count], 0.5 * cfg.quad_tol * math.pi, cfg.panel_budget
+    )
+    for k, exc in spent.items():
+        faults.setdefault(k, QuadratureError(f"mode at eigenvalue {lam[k]:.6g}: {exc}"))
+    if faults:
+        raise faults[min(faults)]
+    return (half_line / math.pi)[group]
 
 
 def so_node_centrality(gm: GraphMatrices, cfg: SecondOrderConfig) -> CentralityReport:
@@ -145,10 +163,16 @@ def so_node_centrality(gm: GraphMatrices, cfg: SecondOrderConfig) -> CentralityR
 
     The sum runs over nonzero modes only: on the consensus mode the
     spectral density is non-integrable, and the output deviation
-    ``y = M_n x`` does not observe it.
+    ``y = M_n x`` does not observe it.  A delay past
+    ``tau_c(lambda_max)`` (see :func:`critical_delay`) raises
+    :class:`StabilityError`; at ``tau_c`` itself the kernel has a zero on the
+    frequency axis, which the near-zero checks report.
     """
     dec = decompose(gm.laplacian, require_connected=True)
     lam = dec.nonzero_eigenvalues()
+    tau_c = critical_delay(dec.lambda_max, cfg.b) if lam.size else math.inf
+    if cfg.tau > tau_c:
+        raise StabilityError(cfg.tau, tau_c)
     f_vals = _f_per_eigenvalue(lam, cfg)
     q = dec.eigenvectors[:, dec.zero_mode_count :]
     eta = (q**2) @ f_vals

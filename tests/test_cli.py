@@ -189,6 +189,37 @@ class TestExitCodes:
         assert code == 3
         assert "0.785398" in err
 
+    @pytest.mark.parametrize("tau", ["0.8", "1.2"])
+    def test_second_order_past_tau_c_exit_3_names_bound(self, tau, capsys):
+        # K2 (lambda = 2) at b = 1 crosses into instability at tau_c = 0.520494.
+        argv = ["second-order", "--graph", str(FIXTURES / "k2.edges"), "--b", "1", "--tau", tau]
+        assert run(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"delay tau={tau}" in err and "tau_max=0.520494" in err
+
+    @pytest.mark.parametrize("traj", ["1", "0"])
+    def test_verify_needs_two_trajectories_exit_2(self, traj, monkeypatch, capsys):
+        def no_simulation(*args):
+            raise AssertionError("verify simulated before refusing --traj")
+
+        monkeypatch.setattr("delaycent.oracles.simulate", no_simulation)
+        argv = ["verify", "--graph", str(FIXTURES / "k2.edges"), "--structure", "dynamics", "--traj", traj]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: verify needs at least two trajectories (--traj >= 2)\n"
+
+    def test_perf_and_simulate_check_variances_first(self, tmp_path, capsys):
+        # Negative variances and an unstable delay: both commands name the variances.
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text("[-1.0, 1.0]")
+        outcomes = []
+        for command in ("perf", "simulate"):
+            code = run([
+                command, "--graph", str(FIXTURES / "k2.edges"), "--structure", "dynamics",
+                "--tau", "5", "--sigma", str(sigma),
+            ])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1] == (2, "error: variances must be finite and nonnegative\n")
+
     def test_disconnected_exit_3(self, tmp_path):
         two = tmp_path / "two.edges"
         two.write_text("0 1\n2 3\n")

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,16 +8,19 @@ import pytest
 from delaycent import (
     SecondOrderConfig,
     SecondOrderStabilityError,
+    WeightedGraph,
     build_matrices,
     f_integral,
     h_kernel,
     so_node_centrality,
     so_zero_delay_closed_form,
 )
+from delaycent import SimConfig, SimulationError, StabilityError, decompose, quadrature, secondorder
+from delaycent import simulate_second_order
 from delaycent.quadrature import QuadratureError, integrate_adaptive
-from delaycent.secondorder import SECOND_ORDER_TAG
+from delaycent.secondorder import SECOND_ORDER_TAG, _f_per_eigenvalue, critical_delay
 
-from conftest import random_connected_graph
+from conftest import per_mode_second_order, random_connected_graph, ring_chord_graph
 
 
 class TestHKernel:
@@ -155,3 +160,141 @@ class TestClosedForm:
                 SecondOrderConfig(b=1.0, tau=tau)
         with pytest.raises(ValueError):
             SecondOrderConfig(b=1.0, quad_tol=0.0)
+
+
+def _eigenvalues(gm):
+    return decompose(gm.laplacian, require_connected=True).nonzero_eigenvalues()
+
+
+@pytest.fixture
+def refined_panels(monkeypatch):
+    """Panels per mode of the next batched refinement: each integrand call a
+    row takes part in adds one panel to it (the first call evaluates its
+    single starting panel)."""
+    seen = {}
+
+    def spy(f, a, b, *args):
+        calls = seen["panels"] = np.zeros(len(a), dtype=int)
+
+        def counted(rows, x):
+            calls[rows] += 1
+            return f(rows, x)
+
+        return quadrature.integrate_rows(counted, a, b, *args)
+
+    monkeypatch.setattr(secondorder, "integrate_rows", spy)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def ring_chord200():
+    return build_matrices(ring_chord_graph(200, 7))
+
+
+class TestBatchedModes:
+    """All modes of a graph in one batched refinement against the former
+    per-mode loop, kept in ``conftest.per_mode_second_order``."""
+
+    @pytest.mark.parametrize("graph", ["k2", "p3", "ring_chord100", "ring_chord200"])
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 4.0])
+    def test_matches_the_per_mode_loop(self, graph, fraction, b, request, refined_panels):
+        lam = _eigenvalues(request.getfixturevalue(graph))
+        cfg = SecondOrderConfig(b=b, tau=fraction * critical_delay(lam[-1], b))
+        want, want_panels = per_mode_second_order(lam, cfg)
+        got = _f_per_eigenvalue(lam, cfg)
+        assert np.max(np.abs(got - want) / want) <= 1e-15
+        np.testing.assert_array_equal(refined_panels["panels"], want_panels)
+
+    def test_repeated_eigenvalues_are_integrated_once(self, c4, refined_panels):
+        # C4 has eigenvalues 2, 2, 4 (up to rounding): two distinct modes.
+        lam = _eigenvalues(c4)
+        cfg = SecondOrderConfig(b=1.0, tau=0.1)
+        got = _f_per_eigenvalue(lam, cfg)
+        assert refined_panels["panels"].size == 2
+        assert got[0] == got[1]
+        np.testing.assert_array_equal(got, per_mode_second_order(lam, cfg)[0])
+
+    def test_lowest_faulting_mode_wins(self, refined_panels):
+        # At this (b, tau) mode 1 is marginal: h has a double zero at
+        # omega_c = sqrt(sec theta), and the scan grid passes through it.  A
+        # four-panel budget is too small for modes 0.5 and 2.
+        theta = 0.78125
+        omega_c = math.sqrt(1.0 / math.cos(theta))
+        cfg = SecondOrderConfig(b=math.tan(theta) / omega_c, tau=theta / omega_c, panel_budget=4)
+        with pytest.raises(SecondOrderStabilityError, match=f"near w={omega_c:.6g}"):
+            _f_per_eigenvalue(np.array([1.0]), cfg)
+        assert refined_panels["panels"].size == 0  # the scan found it: nothing refined
+        for lam in ([0.5, 1.0], [1.0, 2.0]):
+            lam = np.array(lam)
+            with pytest.raises((QuadratureError, SecondOrderStabilityError)) as want:
+                per_mode_second_order(lam, cfg)
+            with pytest.raises(want.type, match="^" + re.escape(str(want.value)) + "$"):
+                _f_per_eigenvalue(lam, cfg)
+            assert want.type is (QuadratureError if lam[0] == 0.5 else SecondOrderStabilityError)
+
+    def test_scan_memory_is_bounded_by_the_block(self, ring_chord200, monkeypatch):
+        block, grid_bytes = 2, (secondorder._SCAN_POINTS + 1) * 8
+        monkeypatch.setattr(secondorder, "_SCAN_BLOCK", block)
+
+        class ScanDone(Exception):
+            pass
+
+        def stop(*args):
+            raise ScanDone(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(secondorder, "integrate_rows", stop)
+        lam = _eigenvalues(ring_chord200)
+        cfg = SecondOrderConfig(b=1.0, tau=0.9 * critical_delay(lam[-1], 1.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScanDone) as done:
+                _f_per_eigenvalue(lam, cfg)
+        finally:
+            tracemalloc.stop()
+        # All 199 modes at once would hold several 199-row grids.
+        assert done.value.args[0] <= 10 * block * grid_bytes
+
+
+class TestCriticalDelay:
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 2.0, 20.0, 1e3])
+    @pytest.mark.parametrize("b", [0.1, 1.0, 10.0])
+    def test_root_on_the_imaginary_axis(self, lam, b):
+        tau = critical_delay(lam, b)
+        omega = math.sqrt((b * b * lam * lam + math.sqrt(b**4 * lam**4 + 4.0 * lam * lam)) / 2.0)
+        s = 1j * omega
+        residual = s * s + lam * (1.0 + b * s) * np.exp(-s * tau)
+        assert abs(residual) <= 1e-12 * max(omega**2, lam)
+
+    def test_decreasing_in_the_eigenvalue(self):
+        lam = np.geomspace(1e-3, 1e3, 61)
+        for b in (0.1, 1.0, 10.0):
+            taus = [critical_delay(x, b) for x in lam]
+            assert all(a > c for a, c in zip(taus, taus[1:]))
+
+    def test_k2_boundary(self, k2):
+        tau_c = critical_delay(2.0, 1.0)
+        assert tau_c == pytest.approx(0.52049, abs=1e-5)
+        so_node_centrality(k2, SecondOrderConfig(b=1.0, tau=0.9 * tau_c))
+        for tau in (1.0001 * tau_c, 0.8, 1.2):
+            with pytest.raises(StabilityError, match=f"tau_max={tau_c:.6g}"):
+                so_node_centrality(k2, SecondOrderConfig(b=1.0, tau=tau))
+
+    def test_simulation_diverges_only_past_the_boundary(self, k2):
+        tau_c = critical_delay(2.0, 1.0)
+        for fraction, diverges in ((0.9, False), (1.1, True)):
+            tau = fraction * tau_c
+            cfg = SimConfig(tau=tau, dt=tau / 20, burn_in=10 * tau, horizon=300 * tau, n_traj=2, seed=1)
+            if diverges:
+                with pytest.raises(SimulationError, match="blew up"):
+                    simulate_second_order(k2, 1.0, np.ones(2), cfg)
+            else:
+                assert simulate_second_order(k2, 1.0, np.ones(2), cfg).rho_hat < 10.0
+
+    def test_boundary_itself_is_reported_as_marginal(self):
+        # At tau = tau_c exactly the kernel has a zero on the frequency axis.
+        gm = build_matrices(WeightedGraph(2, [(0, 1, 0.25)]))
+        cfg = SecondOrderConfig(b=math.sqrt(3.0), tau=math.pi / 3)
+        assert cfg.tau == critical_delay(0.5, cfg.b)
+        with pytest.raises(SecondOrderStabilityError, match="marginal"):
+            so_node_centrality(gm, cfg)
