@@ -5,8 +5,9 @@ velocities and velocities run delayed Laplacian feedback on both, with
 gain ``b`` on the velocity coupling and white noise on the velocity
 equation.  Per-mode steady-state position variance is a frequency integral
 with no closed form for ``tau > 0``, so the node indices are assembled
-from adaptive quadrature; at ``tau = 0`` the integral collapses to
-``1 / (2 b lam^2)``, which doubles as a self-check.
+from adaptive quadrature (``1 / (2 b lam^2)`` at ``tau = 0``, a self-check).
+Stability is closed form: mode ``lam`` crosses the imaginary axis at delay
+``tau_c(lam)`` and frequency ``omega_c(lam)``, the only place the kernel can vanish.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .spectral import StabilityError, check_delay, check_positive, decompose
 
 SECOND_ORDER_TAG = "second-order-dynamics"
 
-# Panels scanned up front for near-zeros of the denominator kernel.
-_SCAN_POINTS = 2048
-# Modes scanned at a time: bounds the scan's memory to this many grids.
-_SCAN_BLOCK = 16
 # Factor by which the truncation frequency grows until the analytic
 # ~1/omega^4 tail bound passes.
 _OMEGA_GROWTH = 2.0
@@ -68,14 +65,13 @@ def h_kernel(lam: float, tau: float, b: float, omega) -> np.ndarray | float:
 
 
 def _truncation_frequency(lam: float, tau: float, b: float, tol: float) -> float:
-    """Smallest scanned cutoff with a certified tail below ``tol / 2``.
+    """Smallest cutoff on a doubling ladder with a certified tail below ``tol / 2``.
 
     For ``omega >= max(sqrt(8 lam), 8 b lam)`` the kernel dominates
     ``omega^4 / 2``, so the (already doubled and 1/2pi-normalized) tail
     beyond ``omega_max`` is at most ``2 / (3 pi omega_max^3)``.
     """
-    floor = max(math.sqrt(8.0 * lam), 8.0 * b * lam, 1.0)
-    omega_max = max(10.0 * lam * (1.0 + b), floor)
+    omega_max = max(10.0 * lam * (1.0 + b), math.sqrt(8.0 * lam), 8.0 * b * lam, 1.0)
     if tau > 0:
         omega_max = max(omega_max, 50.0 / tau)
     while 2.0 / (3.0 * math.pi * omega_max**3) > 0.5 * tol:
@@ -83,12 +79,17 @@ def _truncation_frequency(lam: float, tau: float, b: float, tol: float) -> float
     return omega_max
 
 
+def _crossing(lam, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency and delay at which modes ``lam`` of ``s^2 + lam (1 + b s) e^{-s tau}``
+    cross the imaginary axis: ``omega_c^2 = lam (b^2 lam + hypot(b^2 lam, 2)) / 2``."""
+    bl = b * b * np.asarray(lam, dtype=float)
+    omega = np.sqrt(lam * (bl + np.hypot(bl, 2.0)) / 2.0)
+    return omega, np.arctan(b * omega) / omega
+
+
 def critical_delay(lam: float, b: float) -> float:
-    """Delay at which mode ``lam`` of ``s^2 + lam (1 + b s) e^{-s tau}`` crosses
-    the imaginary axis.  It decreases in ``lam``, so ``critical_delay(lambda_max)``
-    bounds the stable delays of a graph."""
-    omega = math.sqrt((b * b * lam * lam + math.sqrt(b**4 * lam**4 + 4.0 * lam * lam)) / 2.0)
-    return math.atan(b * omega) / omega
+    """Crossing delay tau_c(lam); it falls in lam, so tau_c(lambda_max) bounds a graph's delays."""
+    return float(_crossing(lam, b)[1])
 
 
 def f_integral(
@@ -98,9 +99,9 @@ def f_integral(
     quad_tol: float = 1e-9,
     panel_budget: int = 65536,
 ) -> float:
-    """Steady-state position variance ``(1/2pi) int dw / h`` of one mode: a
-    near-zero of ``h`` raises :class:`SecondOrderStabilityError`, an exhausted
-    panel budget :class:`QuadratureError`."""
+    """Steady-state position variance ``(1/2pi) int dw / h`` of one mode: past
+    ``tau_c`` it raises :class:`StabilityError`, at a near-zero of ``h``
+    :class:`SecondOrderStabilityError`, on an exhausted budget :class:`QuadratureError`."""
     check_positive(lam, "eigenvalue")
     cfg = SecondOrderConfig(b=b, tau=tau, quad_tol=quad_tol, panel_budget=panel_budget)
     return float(_f_per_eigenvalue(np.array([float(lam)]), cfg)[0])
@@ -112,10 +113,11 @@ def _f_per_eigenvalue(eigenvalues: np.ndarray, cfg: SecondOrderConfig) -> np.nda
     one can be within 1e-12 relative), all modes refined together.
 
     The integrand is even, so ``[0, omega_max]`` is integrated and doubled.
-    Near-zeros of ``h`` raise :class:`SecondOrderStabilityError` (the integral
-    diverges at a marginally stable configuration), on a coarse grid scanned
-    first or on a refined panel.  Of faulting modes the lowest one's error is
-    raised.
+    A delay past ``tau_c`` of the top mode (so of none below) raises
+    :class:`StabilityError` before any quadrature.  Below ``tau_c`` only
+    ``h(omega_c)`` can near zero; it and every refined panel are checked, and
+    ``h < h_floor`` raises :class:`SecondOrderStabilityError`, as the integral
+    diverges there.  Of faulting modes the lowest one's error is raised.
     """
     distinct: list[float] = []
     group = []
@@ -125,7 +127,12 @@ def _f_per_eigenvalue(eigenvalues: np.ndarray, cfg: SecondOrderConfig) -> np.nda
         group.append(len(distinct) - 1)
     lam = np.array(distinct)
     tau, b = cfg.tau, cfg.b
+    omega_c, tau_c = _crossing(lam, b)
+    if lam.size and tau > tau_c[-1]:
+        raise StabilityError(tau, float(tau_c[-1]))
     omega_max = np.array([_truncation_frequency(x, tau, b, cfg.quad_tol) for x in distinct])
+    if (omega_max > 0.5 * np.finfo(float).max ** 0.25).any():  # h <= 3 omega_max^4 below omega_max
+        raise OverflowError(f"h(w) overflows at lambda_max={lam[-1]:.6g}, b={b:.6g}, tau={tau:.6g}")
     h_floor = 1e-12 * np.maximum(1.0, lam) ** 2
     faults: dict[int, Exception] = {}
 
@@ -142,12 +149,8 @@ def _f_per_eigenvalue(eigenvalues: np.ndarray, cfg: SecondOrderConfig) -> np.nda
         h[bad] = np.nan  # stops the row's refinement
         return 1.0 / h
 
-    for start in range(0, lam.size, _SCAN_BLOCK):
-        rows = np.arange(start, min(start + _SCAN_BLOCK, lam.size))
-        integrand(rows, np.linspace(0.0, omega_max[rows], _SCAN_POINTS + 1, axis=1)[:, None])
-        if faults:
-            break
-    count = min(faults, default=lam.size)  # modes past a scan fault need no refinement
+    integrand(np.arange(lam.size), omega_c[:, None, None])
+    count = min(faults, default=lam.size)  # modes past a crossing fault need no refinement
     half_line, spent = integrate_rows(
         integrand, np.zeros(count), omega_max[:count], 0.5 * cfg.quad_tol * math.pi, cfg.panel_budget
     )
@@ -165,15 +168,11 @@ def so_node_centrality(gm: GraphMatrices, cfg: SecondOrderConfig) -> CentralityR
     spectral density is non-integrable, and the output deviation
     ``y = M_n x`` does not observe it.  A delay past
     ``tau_c(lambda_max)`` (see :func:`critical_delay`) raises
-    :class:`StabilityError`; at ``tau_c`` itself the kernel has a zero on the
-    frequency axis, which the near-zero checks report.
+    :class:`StabilityError`; at ``tau_c`` itself the kernel has a zero at
+    ``omega_c``, which raises :class:`SecondOrderStabilityError`.
     """
     dec = decompose(gm.laplacian, require_connected=True)
-    lam = dec.nonzero_eigenvalues()
-    tau_c = critical_delay(dec.lambda_max, cfg.b) if lam.size else math.inf
-    if cfg.tau > tau_c:
-        raise StabilityError(cfg.tau, tau_c)
-    f_vals = _f_per_eigenvalue(lam, cfg)
+    f_vals = _f_per_eigenvalue(dec.nonzero_eigenvalues(), cfg)
     q = dec.eigenvectors[:, dec.zero_mode_count :]
     eta = (q**2) @ f_vals
     return make_report(

@@ -193,7 +193,7 @@ def per_mode_second_order(eigenvalues, cfg):
                     )
                 return 1.0 / h
 
-            integrand(np.linspace(0.0, omega_max, secondorder._SCAN_POINTS + 1))
+            integrand(np.linspace(0.0, omega_max, 2048 + 1))
             try:
                 half_line, count = reference_integrate_adaptive(
                     integrand, 0.0, omega_max, 0.5 * cfg.quad_tol * math.pi, cfg.panel_budget

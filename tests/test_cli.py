@@ -255,6 +255,14 @@ class TestExitCodes:
         assert code == 4
         assert "marginal" in err
 
+    def test_second_order_kernel_out_of_range_exit_4(self, tmp_path):
+        # lambda_max = 2e80: h(w) ~ w^4 overflows below the truncation frequency.
+        huge = tmp_path / "huge.edges"
+        huge.write_text("0 1 1e80\n")
+        code, out, err = invoke("second-order", "--graph", str(huge), "--b", "1", "--tau", "0")
+        assert (code, out) == (4, "")
+        assert err == "error: h(w) overflows at lambda_max=2e+80, b=1, tau=0\n"
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_unwritable_output_exit_2(self, fmt, tmp_path, capsys):
         out = tmp_path / "missing" / "report.out"

@@ -217,43 +217,41 @@ class TestBatchedModes:
 
     def test_lowest_faulting_mode_wins(self, refined_panels):
         # At this (b, tau) mode 1 is marginal: h has a double zero at
-        # omega_c = sqrt(sec theta), and the scan grid passes through it.  A
-        # four-panel budget is too small for modes 0.5 and 2.
+        # omega_c = sqrt(sec theta), where the crossing check evaluates it.  A
+        # four-panel budget is too small for mode 0.5; mode 2 is past its tau_c.
         theta = 0.78125
         omega_c = math.sqrt(1.0 / math.cos(theta))
         cfg = SecondOrderConfig(b=math.tan(theta) / omega_c, tau=theta / omega_c, panel_budget=4)
         with pytest.raises(SecondOrderStabilityError, match=f"near w={omega_c:.6g}"):
             _f_per_eigenvalue(np.array([1.0]), cfg)
-        assert refined_panels["panels"].size == 0  # the scan found it: nothing refined
-        for lam in ([0.5, 1.0], [1.0, 2.0]):
-            lam = np.array(lam)
-            with pytest.raises((QuadratureError, SecondOrderStabilityError)) as want:
-                per_mode_second_order(lam, cfg)
-            with pytest.raises(want.type, match="^" + re.escape(str(want.value)) + "$"):
-                _f_per_eigenvalue(lam, cfg)
-            assert want.type is (QuadratureError if lam[0] == 0.5 else SecondOrderStabilityError)
+        assert refined_panels["panels"].size == 0  # found before refinement: nothing refined
+        lam = np.array([0.5, 1.0])
+        with pytest.raises((QuadratureError, SecondOrderStabilityError)) as want:
+            per_mode_second_order(lam, cfg)
+        with pytest.raises(want.type, match="^" + re.escape(str(want.value)) + "$"):
+            _f_per_eigenvalue(lam, cfg)
+        assert want.type is QuadratureError
+        with pytest.raises(StabilityError, match=f"tau_max={critical_delay(2.0, cfg.b):.6g}"):
+            _f_per_eigenvalue(np.array([1.0, 2.0]), cfg)
 
-    def test_scan_memory_is_bounded_by_the_block(self, ring_chord200, monkeypatch):
-        block, grid_bytes = 2, (secondorder._SCAN_POINTS + 1) * 8
-        monkeypatch.setattr(secondorder, "_SCAN_BLOCK", block)
-
-        class ScanDone(Exception):
+    def test_memory_before_refinement_is_linear_in_the_modes(self, ring_chord200, monkeypatch):
+        class Refining(Exception):
             pass
 
         def stop(*args):
-            raise ScanDone(tracemalloc.get_traced_memory()[1])
+            raise Refining(tracemalloc.get_traced_memory()[1])
 
         monkeypatch.setattr(secondorder, "integrate_rows", stop)
         lam = _eigenvalues(ring_chord200)
         cfg = SecondOrderConfig(b=1.0, tau=0.9 * critical_delay(lam[-1], 1.0))
         tracemalloc.start()
         try:
-            with pytest.raises(ScanDone) as done:
+            with pytest.raises(Refining) as done:
                 _f_per_eigenvalue(lam, cfg)
         finally:
             tracemalloc.stop()
-        # All 199 modes at once would hold several 199-row grids.
-        assert done.value.args[0] <= 10 * block * grid_bytes
+        # A few dozen floats per mode; one 2049-point grid per mode would be 16 kB.
+        assert done.value.args[0] <= 64 * 8 * lam.size
 
 
 class TestCriticalDelay:
@@ -265,6 +263,17 @@ class TestCriticalDelay:
         s = 1j * omega
         residual = s * s + lam * (1.0 + b * s) * np.exp(-s * tau)
         assert abs(residual) <= 1e-12 * max(omega**2, lam)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 2.0, 20.0, 1e3, 1e10, 1e40, 1e77, 1e80])
+    @pytest.mark.parametrize("b", [0.1, 1.0, 10.0])
+    def test_matches_50_digit_reference(self, lam, b):
+        # b^4 lam^4 overflows a double once b lam passes ~1e77; the hypot form does not.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            lm, bm = mpmath.mpf(lam), mpmath.mpf(b)
+            omega = mpmath.sqrt((bm**2 * lm**2 + mpmath.sqrt(bm**4 * lm**4 + 4 * lm**2)) / 2)
+            want = mpmath.atan(bm * omega) / omega
+            assert abs((critical_delay(lam, b) - want) / want) <= 1e-15
 
     def test_decreasing_in_the_eigenvalue(self):
         lam = np.geomspace(1e-3, 1e3, 61)
@@ -298,3 +307,34 @@ class TestCriticalDelay:
         assert cfg.tau == critical_delay(0.5, cfg.b)
         with pytest.raises(SecondOrderStabilityError, match="marginal"):
             so_node_centrality(gm, cfg)
+
+
+# (lam, b) pairs for the closed-form stability gate; (0.5, sqrt 3) crosses at
+# tau_c = pi/3 exactly.
+GATE_MODES = [(0.5, math.sqrt(3.0)), (2.0, 1.0), (8.0, 0.5), (1.0, 4.0)]
+
+
+class TestStabilityGate:
+    @pytest.mark.parametrize("lam,b", GATE_MODES)
+    @pytest.mark.parametrize("eps", [1e-9, 1e-3, 0.2])
+    def test_f_integral_refuses_past_the_crossing_delay(self, lam, b, eps):
+        tau_c = critical_delay(lam, b)
+        with pytest.raises(StabilityError, match=f"tau_max={tau_c:.6g}"):
+            f_integral(lam, (1.0 + eps) * tau_c, b)
+
+    @pytest.mark.parametrize("lam,b", GATE_MODES)
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7, 1e-9, 0.0])
+    def test_matches_the_scanning_loop_below_the_crossing_delay(self, lam, b, eps):
+        # Both paths refine the same way once their up-front checks pass, and
+        # the oracle's refinement is quadratic in panels: a small budget keeps
+        # it fast and leaves the up-front checks to decide the outcome.
+        tau = (1.0 - eps) * critical_delay(lam, b)
+        cfg = SecondOrderConfig(b=b, tau=tau, panel_budget=1024)
+        modes = np.array([lam])
+        try:
+            want = per_mode_second_order(modes, cfg)[0]
+        except (QuadratureError, SecondOrderStabilityError) as exc:
+            with pytest.raises(type(exc)):
+                _f_per_eigenvalue(modes, cfg)
+        else:
+            np.testing.assert_array_equal(_f_per_eigenvalue(modes, cfg), want)
