@@ -8,7 +8,8 @@ Two routes that share no math with the spectral formulas:
   itself, advancing up to d+1 steps at a time by the method of steps (the
   delayed states a block needs are already known), and estimates the
   steady-state dispersion with a standard error across independent
-  trajectories.
+  trajectories.  Its memory is a few noise-chunk arrays of about a MiB (or
+  d+1 states, if more) plus the d+1-state history, whatever the horizon.
 
 Both are deliberately dumb and slow relative to the spectral path; their
 job is to disagree loudly if a formula is wrong.
@@ -25,10 +26,12 @@ import numpy as np
 from .centrality import NoiseStructure, check_variances, input_matrix, noise_channels
 from .graph import GraphMatrices
 from .quadrature import integrate_adaptive
+from .secondorder import critical_delay
 from .spectral import StabilityError, check_delay, check_positive, decompose, require_stable
 
-# Steps of pre-generated noise held in memory at a time.
+# Steps of pre-generated noise held in memory at a time (see _chunk_steps).
 _NOISE_CHUNK = 4096
+_CHUNK_BYTES = 1 << 20
 # State magnitude beyond which a run is declared numerically unstable.
 _DIVERGENCE_LIMIT = 1e8
 
@@ -104,13 +107,12 @@ class SimConfig:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
         if self.scheme != "euler-maruyama":
             raise ValueError(f"unsupported scheme {self.scheme!r}")
-        if self.tau > 0:
-            snapped = round(self.tau / self.dt) * self.dt
-            if abs(snapped - self.tau) > 0.005 * self.tau:
-                raise ValueError(
-                    f"tau={self.tau:.6g} is {abs(snapped - self.tau):.3g} away from the"
-                    f" nearest dt multiple {snapped:.6g}; exceeds 0.5% of tau"
-                )
+        snapped = self.tau_snapped
+        if self.tau > 0 and abs(snapped - self.tau) > 0.005 * self.tau:
+            raise ValueError(
+                f"tau={self.tau:.6g} is {abs(snapped - self.tau):.3g} away from the"
+                f" nearest dt multiple {snapped:.6g}; exceeds 0.5% of tau"
+            )
 
     @property
     def delay_steps(self) -> int:
@@ -165,6 +167,11 @@ def _check_finite(x: np.ndarray, step: int) -> None:
         raise SimulationError(f"numerically unstable run: state blew up at step {step}")
 
 
+def _std_err(samples: np.ndarray) -> float:
+    """Standard error of the mean of per-trajectory samples; NaN for one."""
+    return float(np.std(samples, ddof=1) / math.sqrt(samples.size)) if samples.size > 1 else float("nan")
+
+
 def _finish(
     sum_sq_node: np.ndarray,
     sum_sq_traj: np.ndarray,
@@ -175,13 +182,9 @@ def _finish(
     per_node_var = sum_sq_node / (meas_steps * n_traj)
     per_traj_mean = sum_sq_traj / meas_steps
     rho_hat = float(per_node_var.sum())
-    if n_traj > 1:
-        std_err = float(np.std(per_traj_mean, ddof=1) / math.sqrt(n_traj))
-    else:
-        std_err = float("nan")
     return SimResult(
         rho_hat=rho_hat,
-        std_err=std_err,
+        std_err=_std_err(per_traj_mean),
         per_node_var=per_node_var,
         effective_samples=meas_steps * n_traj,
         tau_snapped=cfg.tau_snapped,
@@ -215,7 +218,7 @@ def simulate(
 
     b_sigma = b * np.sqrt(variances)[None, :]
     # (steps, channels, traj) white increments -> per-state forcing
-    return _run_euler_maruyama(cfg, lap, b.shape[1], lambda z: b_sigma @ z)
+    return _run_euler_maruyama(cfg, lap, b.shape[1], lambda z, out: np.matmul(b_sigma, z, out=out))
 
 
 def simulate_second_order(
@@ -229,14 +232,25 @@ def simulate_second_order(
     Positions integrate velocities; velocities see delayed Laplacian
     feedback on both states (velocity gain ``b_gain``) plus per-agent white
     noise.  The observed dispersion is that of the centered positions.
+    Both the requested and the snapped delay must lie below ``tau_c(lambda_max)``.
     """
     check_positive(b_gain, "velocity gain")
     lap = gm.laplacian
     n = gm.n
     variances = check_variances(variances, n)
-    decompose(lap, require_connected=True)
-    sigma = np.sqrt(variances)
-    return _run_euler_maruyama(cfg, lap, n, lambda z: sigma[None, :, None] * z, b_gain)
+    lam_max = decompose(lap, require_connected=True).lambda_max
+    tau_c = critical_delay(lam_max, b_gain) if lam_max > 0 else math.inf
+    tau = max(cfg.tau, cfg.tau_snapped)
+    if tau >= tau_c:
+        raise StabilityError(tau, tau_c)
+    sigma = np.sqrt(variances)[None, :, None]
+    return _run_euler_maruyama(cfg, lap, n, lambda z, out: np.multiply(sigma, z, out=out), b_gain)
+
+
+def _chunk_steps(n_rows: int, n_traj: int, d: int) -> int:
+    """Steps per chunk: as many as fit ``n_rows`` doubles per trajectory in ``_CHUNK_BYTES``,
+    at most ``_NOISE_CHUNK``, at least one d+1-step block (shorter ones cost time)."""
+    return min(_NOISE_CHUNK, max(d + 1, _CHUNK_BYTES // (8 * n_rows * n_traj)))
 
 
 def _run_euler_maruyama(cfg: SimConfig, lap, n_channels, mix_noise, b_gain=None) -> SimResult:
@@ -248,8 +262,10 @@ def _run_euler_maruyama(cfg: SimConfig, lap, n_channels, mix_noise, b_gain=None)
     current noise chunk, oldest first, followed by the chunk's new states,
     so chunk step ``i`` reads its delayed state at ``hist[i]`` and writes
     ``hist[d+1+i]``; at the chunk end the last d+1 states move to the front.
-    Noise is mixed into forcing one chunk at a time, and measurement is
-    vectorized over the chunk's new states.
+    Chunks are :func:`_chunk_steps` long, in draw, noise and forcing buffers
+    allocated once per run; ``mix_noise(z, out)`` writes forcing into ``out``,
+    which then holds the squared deviations that measurement sums.  Each
+    trajectory draws from its own stream in order, so no state depends on the chunk length.
     """
     dt = cfg.dt
     d = cfg.delay_steps
@@ -258,50 +274,46 @@ def _run_euler_maruyama(cfg: SimConfig, lap, n_channels, mix_noise, b_gain=None)
     total_steps = burn_steps + meas_steps
     n_traj = cfg.n_traj
     gens = _trajectory_generators(cfg.seed, n_traj)
-    sqrt_dt = math.sqrt(dt)
     n = lap.shape[0]
     n_state = n if b_gain is None else 2 * n
+    chunk = min(_chunk_steps(max(n_state, n_channels), n_traj, d), total_steps)
 
-    hist = np.zeros((d + 1 + min(_NOISE_CHUNK, total_steps), n_state, n_traj))
+    hist = np.zeros((d + 1 + chunk, n_state, n_traj))
+    draws = np.empty((n_traj, chunk, n_channels))
+    noise = np.empty((chunk, n_channels, n_traj))
+    forcing = np.empty((chunk, n, n_traj))
+    work = np.empty((2 * min(d + 1, chunk) + 1, n, n_traj))
     sum_sq_node = np.zeros(n)
     sum_sq_traj = np.zeros(n_traj)
 
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step < total_steps:
-            chunk = min(_NOISE_CHUNK, total_steps - step)
-            forcing = mix_noise(_white_increments(gens, chunk, n_channels, sqrt_dt))
+            k = min(chunk, total_steps - step)
+            for gen, out in zip(gens, draws):
+                gen.standard_normal(out=out[:k])
+            np.multiply(draws[:, :k].transpose(1, 2, 0), math.sqrt(dt), out=noise[:k])
+            mix_noise(noise[:k], forcing[:k])
             if d == 0:
-                _step_in_place(hist, forcing, lap, dt, b_gain)
+                _step_in_place(hist, forcing[:k], lap, dt, b_gain)
             else:
-                _advance_blocks(hist, forcing, lap, dt, d, b_gain)
-            step += chunk
-            _check_finite(hist[d + chunk], step)
-            first_measured = max(0, burn_steps - (step - chunk))
-            if first_measured < chunk:
-                y = hist[d + 1 + first_measured : d + 1 + chunk, :n]
-                ysq = y - y.mean(axis=1, keepdims=True)
+                _advance_blocks(hist, forcing[:k], lap, dt, d, b_gain, work)
+            step += k
+            _check_finite(hist[d + k], step)
+            first_measured = max(0, burn_steps - (step - k))
+            if first_measured < k:
+                y = hist[d + 1 + first_measured : d + 1 + k, :n]
+                ysq = np.subtract(y, y.mean(axis=1, keepdims=True), out=forcing[: k - first_measured])
                 ysq *= ysq
                 sum_sq_node += ysq.sum(axis=(0, 2))
                 sum_sq_traj += ysq.sum(axis=(0, 1))
-            hist[: d + 1] = hist[chunk : chunk + d + 1]
+            hist[: d + 1] = hist[k : k + d + 1]
     return _finish(sum_sq_node, sum_sq_traj, meas_steps, cfg)
 
 
-def _white_increments(gens, chunk, n_channels, sqrt_dt) -> np.ndarray:
-    """``sqrt(dt)``-scaled standard normals of shape (steps, channels, traj);
-    trajectory ``t`` draws the next ``(steps, channels)`` block of its own
-    stream."""
-    raw = np.empty((len(gens), chunk, n_channels))
-    for gen, out in zip(gens, raw):
-        gen.standard_normal(out=out)
-    z = np.empty((chunk, n_channels, len(gens)))
-    np.multiply(raw.transpose(1, 2, 0), sqrt_dt, out=z)
-    return z
-
-
-def _advance_blocks(hist, forcing, lap, dt, d, b_gain) -> None:
-    """Method of steps for d >= 1 over one chunk of ``forcing``.
+def _advance_blocks(hist, forcing, lap, dt, d, b_gain, work) -> None:
+    """Method of steps for d >= 1 over one chunk of ``forcing``, with
+    ``work`` holding at least ``2 min(d+1, len(forcing)) + 1`` states.
 
     Steps ``s .. s+d`` read only delayed states that are already known, so
     a block of up to d+1 steps takes one stacked matmul for all its drifts
@@ -313,7 +325,6 @@ def _advance_blocks(hist, forcing, lap, dt, d, b_gain) -> None:
     """
     n = lap.shape[0]
     driven = slice(hist.shape[1] - n, None)
-    work = np.empty((2 * d + 3, n, hist.shape[2]))
     for s in range(0, forcing.shape[0], d + 1):
         nb = min(d + 1, forcing.shape[0] - s)
         delayed = hist[s : s + nb]
@@ -400,9 +411,5 @@ def mc_node_centrality(
         res_minus = simulate(gm, b, minus, cfg)
         diffs = (res_plus.per_traj_mean - res_minus.per_traj_mean) / (2.0 * delta)
         eta[i] = float(diffs.mean())
-        err[i] = (
-            float(np.std(diffs, ddof=1) / math.sqrt(cfg.n_traj))
-            if cfg.n_traj > 1
-            else float("nan")
-        )
+        err[i] = _std_err(diffs)
     return McNodeCentrality(eta_hat=eta, std_err=err)

@@ -27,6 +27,8 @@ SECOND_ORDER_TAG = "second-order-dynamics"
 # Factor by which the truncation frequency grows until the analytic
 # ~1/omega^4 tail bound passes.
 _OMEGA_GROWTH = 2.0
+# Past this truncation frequency h <= 3 omega^4 could overflow a double.
+_OMEGA_LIMIT = 0.5 * np.finfo(float).max ** 0.25
 
 
 class SecondOrderStabilityError(RuntimeError):
@@ -69,12 +71,13 @@ def _truncation_frequency(lam: float, tau: float, b: float, tol: float) -> float
 
     For ``omega >= max(sqrt(8 lam), 8 b lam)`` the kernel dominates
     ``omega^4 / 2``, so the (already doubled and 1/2pi-normalized) tail
-    beyond ``omega_max`` is at most ``2 / (3 pi omega_max^3)``.
+    beyond ``omega_max`` is at most ``2 / (3 pi omega_max^3)``.  It stops,
+    before the cube can overflow, past ``_OMEGA_LIMIT``, which callers refuse.
     """
     omega_max = max(10.0 * lam * (1.0 + b), math.sqrt(8.0 * lam), 8.0 * b * lam, 1.0)
     if tau > 0:
         omega_max = max(omega_max, 50.0 / tau)
-    while 2.0 / (3.0 * math.pi * omega_max**3) > 0.5 * tol:
+    while omega_max <= _OMEGA_LIMIT and 2.0 / (3.0 * math.pi * omega_max**3) > 0.5 * tol:
         omega_max *= _OMEGA_GROWTH
     return omega_max
 
@@ -131,7 +134,7 @@ def _f_per_eigenvalue(eigenvalues: np.ndarray, cfg: SecondOrderConfig) -> np.nda
     if lam.size and tau > tau_c[-1]:
         raise StabilityError(tau, float(tau_c[-1]))
     omega_max = np.array([_truncation_frequency(x, tau, b, cfg.quad_tol) for x in distinct])
-    if (omega_max > 0.5 * np.finfo(float).max ** 0.25).any():  # h <= 3 omega_max^4 below omega_max
+    if (omega_max > _OMEGA_LIMIT).any():
         raise OverflowError(f"h(w) overflows at lambda_max={lam[-1]:.6g}, b={b:.6g}, tau={tau:.6g}")
     h_floor = 1e-12 * np.maximum(1.0, lam) ** 2
     faults: dict[int, Exception] = {}

@@ -210,7 +210,7 @@ def per_mode_second_order(eigenvalues, cfg):
 def stepwise_euler_maruyama(cfg, n_state, n_channels, mix_noise, step_fn, observe_rows):
     """The former Euler-Maruyama loop: one Python step per time step, the
     delayed state read from a ring buffer of d+1 slots, noise mixed by
-    ``mix_noise`` one chunk of ``oracles._NOISE_CHUNK`` steps at a time.
+    ``mix_noise`` one chunk of ``oracles._chunk_steps`` steps at a time.
     The oracle for the blocked loop of :mod:`delaycent.oracles`."""
     dt = cfg.dt
     d = cfg.delay_steps
@@ -227,10 +227,11 @@ def stepwise_euler_maruyama(cfg, n_state, n_channels, mix_noise, step_fn, observ
     sum_sq_node = np.zeros(n_obs)
     sum_sq_traj = np.zeros(n_traj)
 
+    chunk_steps = oracles._chunk_steps(max(n_state, n_channels), n_traj, d)
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step < total_steps:
-            chunk = min(oracles._NOISE_CHUNK, total_steps - step)
+            chunk = min(chunk_steps, total_steps - step)
             z = np.empty((chunk, n_channels, n_traj))
             for t, gen in enumerate(gens):
                 z[:, :, t] = gen.standard_normal((chunk, n_channels))

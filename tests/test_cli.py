@@ -263,6 +263,18 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert err == "error: h(w) overflows at lambda_max=2e+80, b=1, tau=0\n"
 
+    @pytest.mark.parametrize("edges, tau, lam_max", [("0 1 1e110\n", "0", "2e+110"), (None, "1e-120", "2")])
+    def test_second_order_cutoff_out_of_range_exit_4(self, edges, tau, lam_max, tmp_path):
+        # The cutoff starts past the range check (omega_max ~ lambda_max, or
+        # 50 / tau); its ladder must not overflow cubing it first.
+        graph = FIXTURES / "k2.edges"
+        if edges is not None:
+            graph = tmp_path / "huge.edges"
+            graph.write_text(edges)
+        code, out, err = invoke("second-order", "--graph", str(graph), "--b", "1", "--tau", tau)
+        assert (code, out) == (4, "")
+        assert err == f"error: h(w) overflows at lambda_max={lam_max}, b=1, tau={tau}\n"
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_unwritable_output_exit_2(self, fmt, tmp_path, capsys):
         out = tmp_path / "missing" / "report.out"

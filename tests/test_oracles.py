@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,48 @@ class TestBlockedLoopMatchesStepwise:
         want = stepwise_simulate(gm, b, var, cfg)
         for field in ("rho_hat", "std_err", "per_node_var", "per_traj_mean"):
             np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12)
+
+
+class TestWorkingSet:
+    """A run holds a chunk of about ``_CHUNK_BYTES`` per array plus the
+    d+1-state history, whatever the graph size and the horizon."""
+
+    def test_peak_is_the_chunk_budget_plus_the_history(self):
+        n, n_traj, d = 100, 32, 20
+        gm = build_matrices(ring_chord_graph(n, 5, mean_degree=4))
+        tau = 0.5 * math.pi / (2 * float(np.linalg.eigvalsh(gm.laplacian)[-1]))
+        dt = tau / d
+        cfg = SimConfig(tau=tau, dt=dt, burn_in=200 * dt, horizon=800 * dt, n_traj=n_traj, seed=5)
+        b, var = np.eye(n), np.ones(n)
+        tracemalloc.start()
+        try:
+            simulate(gm, b, var, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Four chunk-sized arrays (draws, noise, forcing, new states), and
+        # the history with twice its size in method-of-steps rows.
+        history = (d + 1) * n * n_traj * 8
+        assert peak <= 5 * oracles._CHUNK_BYTES + 3 * history
+
+    # p3 with d = 20: a chunk of d+1 steps (the floor under any budget), of
+    # 34 steps (no multiple of 21), and of 13 (a cap below the floor).
+    @pytest.mark.parametrize("steps, cap, want", [(1, None, 21), (34, None, 34), (1, 13, 13)])
+    @pytest.mark.parametrize("second_order", [False, True], ids=["first", "second"])
+    def test_chunk_length_moves_only_the_sum_grouping(self, p3, second_order, steps, cap, want, monkeypatch):
+        cfg = SimConfig(tau=0.02, dt=1e-3, burn_in=0.5, horizon=4.0, n_traj=3, seed=17)
+        var = np.array([1.0, 0.5, 2.0])
+        run = (lambda: simulate_second_order(p3, 0.7, var, cfg)) if second_order else (
+            lambda: simulate(p3, np.eye(3), var, cfg))
+        default = run()
+        rows = 6 if second_order else 3
+        monkeypatch.setattr(oracles, "_CHUNK_BYTES", steps * 8 * rows * cfg.n_traj)
+        if cap is not None:
+            monkeypatch.setattr(oracles, "_NOISE_CHUNK", cap)
+        assert oracles._chunk_steps(rows, cfg.n_traj, cfg.delay_steps) == want
+        got = run()
+        for field in ("rho_hat", "std_err", "per_node_var", "per_traj_mean"):
+            np.testing.assert_allclose(getattr(got, field), getattr(default, field), rtol=1e-12)
 
 
 class TestMcNodeCentrality:

@@ -15,7 +15,7 @@ from delaycent import (
     so_node_centrality,
     so_zero_delay_closed_form,
 )
-from delaycent import SimConfig, SimulationError, StabilityError, decompose, quadrature, secondorder
+from delaycent import SimConfig, SimulationError, StabilityError, decompose, oracles, quadrature, secondorder
 from delaycent import simulate_second_order
 from delaycent.quadrature import QuadratureError, integrate_adaptive
 from delaycent.secondorder import SECOND_ORDER_TAG, _f_per_eigenvalue, critical_delay
@@ -295,10 +295,28 @@ class TestCriticalDelay:
             tau = fraction * tau_c
             cfg = SimConfig(tau=tau, dt=tau / 20, burn_in=10 * tau, horizon=300 * tau, n_traj=2, seed=1)
             if diverges:
-                with pytest.raises(SimulationError, match="blew up"):
+                # simulate_second_order refuses the delay; its stepping loop would blow up.
+                with pytest.raises(StabilityError, match=f"tau_max={tau_c:.6g}"):
                     simulate_second_order(k2, 1.0, np.ones(2), cfg)
+                with pytest.raises(SimulationError, match="blew up"):
+                    oracles._run_euler_maruyama(cfg, k2.laplacian, 2, lambda z, out: np.copyto(out, z), 1.0)
             else:
                 assert simulate_second_order(k2, 1.0, np.ones(2), cfg).rho_hat < 10.0
+
+    def test_simulation_refuses_delays_past_the_boundary(self, p3):
+        # Just past tau_c a short run does not blow up, so only the gate can
+        # keep it from returning a large, meaningless rho_hat.
+        tau_c = critical_delay(3.0, 0.7)
+        tau = 1.01 * tau_c
+        cfg = SimConfig(tau=tau, dt=tau / 20, burn_in=10 * tau, horizon=100 * tau, n_traj=4, seed=1)
+        with pytest.raises(StabilityError, match=f"tau={tau:.6g} .*tau_max={tau_c:.6g}"):
+            simulate_second_order(p3, 0.7, np.ones(3), cfg)
+        # A stable request whose delay snaps past tau_c is refused at the snapped delay.
+        cfg = SimConfig(tau=0.9999 * tau_c, dt=tau_c / 199.6, burn_in=1.0, horizon=1.0, n_traj=2)
+        assert cfg.tau < tau_c < cfg.tau_snapped
+        with pytest.raises(StabilityError) as exc:
+            simulate_second_order(p3, 0.7, np.ones(3), cfg)
+        assert exc.value.tau == cfg.tau_snapped
 
     def test_boundary_itself_is_reported_as_marginal(self):
         # At tau = tau_c exactly the kernel has a zero on the frequency axis.
