@@ -385,9 +385,11 @@ def _cmd_simulate(args, gm, id_map):
     var = ct.NoiseSpec(structure, _load_sigma(args.sigma)).resolve_variances(gm)
     result = oracles.simulate(gm, ct.input_matrix(gm, structure), var, _sim_config(args))
     payload = result.to_dict()
+    if not id_map.identity:
+        payload["ids"] = list(id_map.original)
     header = ["rho_hat", "std_err", "tau_snapped", "effective_samples"]
     row = [payload[k] for k in header] + payload["per_node_var"]
-    return payload, header + [f"var_{k}" for k in range(gm.n)], [row]
+    return payload, header + [f"var_{k}" for k in id_map.original], [row]
 
 
 def _cmd_verify(args, gm, id_map):

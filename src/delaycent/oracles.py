@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .centrality import NoiseStructure, check_variances, input_matrix, noise_channels
+from .centrality import NoiseStructure, check_variances, input_matrix
 from .graph import GraphMatrices
 from .quadrature import integrate_adaptive
 from .secondorder import critical_delay
@@ -82,9 +82,10 @@ class SimConfig:
 
     The delay must land on the step grid to within 0.5% (it is snapped to
     the nearest multiple of ``dt``), and ``dt`` may not exceed ``tau / 20``
-    for a delayed run.  Per-trajectory noise streams are derived from
-    ``seed XOR trajectory_index`` through a counter-based generator, so
-    results are independent of trajectory scheduling.
+    for a delayed run, and the horizon must be longer than half a step.
+    Trajectory ``t`` draws from a counter-based generator keyed by the pair
+    ``(t, seed)``, so results are independent of trajectory scheduling and
+    distinct seeds give independent streams.
     """
 
     tau: float
@@ -102,6 +103,11 @@ class SimConfig:
         if self.tau > 0 and self.dt > self.tau / 20 * (1 + 1e-12):
             raise ValueError(
                 f"dt={self.dt:.6g} too coarse for tau={self.tau:.6g}; need dt <= tau/20"
+            )
+        if round(self.horizon / self.dt) < 1:
+            raise ValueError(
+                f"horizon={self.horizon:.6g} measures no step of dt={self.dt:.6g};"
+                " need horizon > dt/2"
             )
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
@@ -132,8 +138,8 @@ class SimResult:
 
     ``rho_hat`` is exactly the sum of ``per_node_var``; ``std_err`` is the
     standard error of the per-trajectory means (NaN for a single
-    trajectory).  ``per_traj_mean`` is kept for paired estimators and is
-    not serialized.
+    trajectory).  ``per_traj_mean`` holds the trajectories' own
+    dispersions, from which ``std_err`` comes; it is not serialized.
     """
 
     rho_hat: float
@@ -157,7 +163,7 @@ class SimResult:
 
 def _trajectory_generators(seed: int, n_traj: int) -> list[np.random.Generator]:
     return [
-        np.random.Generator(np.random.Philox(key=(seed ^ t) & (2**64 - 1)))
+        np.random.Generator(np.random.Philox(key=(t << 64) | (seed & (2**64 - 1))))
         for t in range(n_traj)
     ]
 
@@ -165,11 +171,6 @@ def _trajectory_generators(seed: int, n_traj: int) -> list[np.random.Generator]:
 def _check_finite(x: np.ndarray, step: int) -> None:
     if not np.isfinite(x).all() or np.max(np.abs(x)) > _DIVERGENCE_LIMIT:
         raise SimulationError(f"numerically unstable run: state blew up at step {step}")
-
-
-def _std_err(samples: np.ndarray) -> float:
-    """Standard error of the mean of per-trajectory samples; NaN for one."""
-    return float(np.std(samples, ddof=1) / math.sqrt(samples.size)) if samples.size > 1 else float("nan")
 
 
 def _finish(
@@ -184,7 +185,7 @@ def _finish(
     rho_hat = float(per_node_var.sum())
     return SimResult(
         rho_hat=rho_hat,
-        std_err=_std_err(per_traj_mean),
+        std_err=float(np.std(per_traj_mean, ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else math.nan,
         per_node_var=per_node_var,
         effective_samples=meas_steps * n_traj,
         tau_snapped=cfg.tau_snapped,
@@ -374,7 +375,7 @@ def _step_in_place(hist, forcing, lap, dt, b_gain) -> None:
 
 @dataclass(frozen=True)
 class McNodeCentrality:
-    """Finite-difference Monte Carlo estimate of node centralities."""
+    """Monte Carlo estimate of per-channel centralities, one run per channel."""
 
     eta_hat: np.ndarray
     std_err: np.ndarray
@@ -385,31 +386,18 @@ def mc_node_centrality(
     structure: NoiseStructure,
     tau: float,
     cfg: SimConfig,
-    delta: float = 0.5,
 ) -> McNodeCentrality:
-    """Estimate each channel's centrality by a paired variance perturbation.
+    """Estimate each channel's centrality as its dispersion alone.
 
-    Runs the simulator twice per channel with variances ``1 +/- delta`` on
-    that channel and the same noise stream (common random numbers), and
-    takes the per-trajectory central difference.  Since the dispersion is
-    linear in the variances, the estimator is unbiased for any ``delta``.
+    The dispersion is linear in the variances, ``rho = sum_i eta_i sigma_i^2``,
+    so ``eta_i`` is the dispersion when channel ``i`` alone carries unit
+    noise: one :func:`simulate` run on input column ``i``, with no cross
+    term from the other channels.  The ``tau`` argument replaces ``cfg.tau``.
     """
-    if not (0 < delta < 1):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if cfg.tau != tau:
-        cfg = replace(cfg, tau=tau)
+    cfg = replace(cfg, tau=tau)
     b = input_matrix(gm, structure)
-    m = noise_channels(gm, structure)
-    eta = np.empty(m)
-    err = np.empty(m)
-    for i in range(m):
-        plus = np.ones(m)
-        minus = np.ones(m)
-        plus[i] += delta
-        minus[i] -= delta
-        res_plus = simulate(gm, b, plus, cfg)
-        res_minus = simulate(gm, b, minus, cfg)
-        diffs = (res_plus.per_traj_mean - res_minus.per_traj_mean) / (2.0 * delta)
-        eta[i] = float(diffs.mean())
-        err[i] = _std_err(diffs)
-    return McNodeCentrality(eta_hat=eta, std_err=err)
+    runs = [simulate(gm, b[:, [i]], np.ones(1), cfg) for i in range(b.shape[1])]
+    return McNodeCentrality(
+        eta_hat=np.array([r.rho_hat for r in runs]),
+        std_err=np.array([r.std_err for r in runs]),
+    )

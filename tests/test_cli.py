@@ -357,6 +357,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{name} must be finite and positive" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_horizon_under_half_a_step_exit_2(self, command, capsys):
+        # With the default dt = 1e-3, a 0.0004 horizon would measure no step.
+        code = run([
+            command, "--graph", str(FIXTURES / "k2.edges"), "--structure", "dynamics",
+            "--tau", "0", "--horizon", "0.0004",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon=0.0004 ") and "dt=0.001" in err
+
 
 class TestOneDecomposition:
     @pytest.mark.parametrize(
@@ -439,6 +450,21 @@ class TestRemapping:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload["ranking"] == [b, c, a] and payload["tie_groups"] == [[c, a]]
+
+    def test_simulate_names_nodes_by_raw_id(self, tmp_path):
+        graph = tmp_path / "sparse.edges"
+        graph.write_text("10 20\n20 35\n")
+        argv = [
+            "simulate", "--graph", str(graph), "--structure", "dynamics", "--tau", "0",
+            "--dt", "0.005", "--burn-in", "1", "--horizon", "2", "--traj", "2",
+        ]
+        assert run([*argv, "--output", str(tmp_path / "sim.json")]) == 0
+        payload = json.loads((tmp_path / "sim.json").read_text())
+        assert payload["ids"] == [10, 20, 35]
+        assert run([*argv, "--format", "csv", "--output", str(tmp_path / "sim.csv")]) == 0
+        header, row = csv.reader(io.StringIO((tmp_path / "sim.csv").read_text()))
+        assert header[4:] == ["var_10", "var_20", "var_35"]
+        assert [float(v) for v in row[4:]] == pytest.approx(payload["per_node_var"], rel=1e-11)
 
     def test_dense_ids_identity_no_side_file(self, tmp_path):
         out_path = tmp_path / "report.json"

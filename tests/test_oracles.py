@@ -8,6 +8,7 @@ from delaycent import (
     ALL_STRUCTURES,
     COMM_CHANNEL,
     DYNAMICS,
+    MEASUREMENT,
     SENSOR,
     NoiseSpec,
     SimConfig,
@@ -15,8 +16,10 @@ from delaycent import (
     StabilityError,
     build_matrices,
     input_matrix,
+    link_centrality,
     mc_node_centrality,
     mode_integral,
+    node_centrality,
     performance,
     simulate,
     simulate_second_order,
@@ -98,6 +101,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(tau=0.0, scheme="heun")
 
+    @pytest.mark.parametrize("horizon", [4e-4, 5e-4])
+    def test_horizon_must_exceed_half_a_step(self, horizon):
+        # round(horizon / dt) measured steps: none at or under half a step.
+        with pytest.raises(ValueError, match=rf"horizon={horizon:g} .*dt=0\.001"):
+            SimConfig(tau=0.0, horizon=horizon)
+        assert SimConfig(tau=0.0, horizon=6e-4).horizon == 6e-4
+
     @pytest.mark.parametrize("tau", [-0.1, math.nan, math.inf])
     def test_delay_must_be_finite_and_nonnegative(self, tau):
         with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -124,6 +134,15 @@ class TestSimulate:
         few = simulate(k2, np.eye(2), np.ones(2), SimConfig(n_traj=3, **base))
         many = simulate(k2, np.eye(2), np.ones(2), SimConfig(n_traj=6, **base))
         np.testing.assert_array_equal(few.per_traj_mean, many.per_traj_mean[:3])
+
+    def test_seeds_in_one_block_draw_different_streams(self, k2):
+        # 12 and 13 lie in one aligned block of 4 seeds; no trajectory of
+        # one seed may share its stream with a trajectory of the other.
+        base = dict(tau=0.0, dt=5e-3, burn_in=2.0, horizon=20.0, n_traj=4)
+        a = simulate(k2, np.eye(2), np.ones(2), SimConfig(seed=12, **base))
+        b = simulate(k2, np.eye(2), np.ones(2), SimConfig(seed=13, **base))
+        assert np.intersect1d(a.per_traj_mean, b.per_traj_mean).size == 0
+        assert a.rho_hat != pytest.approx(b.rho_hat, rel=1e-6)
 
     def test_rho_is_sum_of_node_variances(self, p3):
         cfg = SimConfig(tau=0.0, dt=5e-3, burn_in=2.0, horizon=30.0, n_traj=4, seed=5)
@@ -322,6 +341,26 @@ class TestMcNodeCentrality:
     def test_k2_sensor(self, k2):
         mc = mc_node_centrality(k2, SENSOR, 0.0, SimConfig(tau=0.0, **self.CFG))
         np.testing.assert_array_less(np.abs(mc.eta_hat - 0.5), 3.0 * mc.std_err)
+
+    @pytest.mark.parametrize("structure", [DYNAMICS, MEASUREMENT], ids=lambda s: s.name)
+    def test_p3_at_half_the_delay_bound(self, p3, structure):
+        # About half of tau_max, on the step grid, so the closed form and the
+        # run see the same delay.
+        dt = self.CFG["dt"]
+        lam_max = float(np.linalg.eigvalsh(p3.laplacian)[-1])
+        tau = dt * round(0.5 * math.pi / (2 * lam_max) / dt)
+        mc = mc_node_centrality(p3, structure, tau, SimConfig(tau=tau, **self.CFG))
+        closed_form = link_centrality if structure.indexes_links else node_centrality
+        expected = closed_form(p3, structure, tau).indices
+        np.testing.assert_array_less(np.abs(mc.eta_hat - expected), 3.0 * mc.std_err)
+
+    def test_each_index_is_the_channel_alone(self, p3):
+        cfg = SimConfig(tau=0.1, **dict(self.CFG, burn_in=1.0, horizon=4.0, n_traj=3))
+        mc = mc_node_centrality(p3, SENSOR, 0.1, cfg)
+        b = input_matrix(p3, SENSOR)
+        for i in range(b.shape[1]):
+            alone = simulate(p3, b[:, [i]], np.ones(1), cfg)
+            assert mc.eta_hat[i] == alone.rho_hat and mc.std_err[i] == alone.std_err
 
 
 class TestSecondOrderOracle:
