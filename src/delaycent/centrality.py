@@ -21,13 +21,7 @@ import numpy as np
 
 from .graph import GraphMatrices, check_scale
 from .report import CentralityReport, make_report
-from .spectral import (
-    SpectralDecomposition,
-    StabilityInfo,
-    decompose,
-    kernel,
-    require_stable,
-)
+from .spectral import SpectralDecomposition, kernel, require_stable
 
 
 class StructureTag(Enum):
@@ -177,11 +171,6 @@ class NoiseSpec:
         return np.ones(m) if self.variances is None else check_variances(self.variances, m)
 
 
-def _stable_decomposition(gm: GraphMatrices, tau: float) -> tuple[SpectralDecomposition, StabilityInfo]:
-    dec = decompose(gm.laplacian, require_connected=True)
-    return dec, require_stable(dec, tau)
-
-
 def centrality_kernel(dec: SpectralDecomposition, tau: float) -> np.ndarray:
     """Values of K = L^+ cos(tau L) (M_n - sin(tau L))^+ per mode, zero modes 0."""
     return kernel(dec, lambda lam: np.cos(tau * lam) / (lam * (1.0 - np.sin(tau * lam))))
@@ -195,16 +184,9 @@ def performance(gm: GraphMatrices, spec: NoiseSpec, tau: float) -> float:
     ``[Q^T B diag(sigma^2) B^T Q]_kk``.
     """
     var = spec.resolve_variances(gm)
-    dec, _ = _stable_decomposition(gm, tau)
-    return _performance(gm, dec, spec.structure, var, tau)
-
-
-def _performance(
-    gm: GraphMatrices, dec: SpectralDecomposition, structure: NoiseStructure, var: np.ndarray, tau: float
-) -> float:
-    """:func:`performance` on the decomposition ``dec`` of a stable configuration
-    and the checked variances ``var``."""
-    b = input_matrix(gm, structure)
+    dec = gm.spectrum
+    require_stable(dec, tau)
+    b = input_matrix(gm, spec.structure)
     modal = dec.eigenvectors.T @ b
     power = (modal**2) @ var
     lam = dec.nonzero_eigenvalues()
@@ -275,17 +257,13 @@ def _reports(
     ]
 
 
-def _single_report(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
-    return _reports(gm, decompose(gm.laplacian, require_connected=True), structure, [tau])[0]
-
-
 def node_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
     """Per-agent centrality eta for an agent-indexed noise structure."""
     if not structure.indexes_nodes:
         raise ValueError(
             f"node centrality needs an agent-indexed structure, got {structure.name}"
         )
-    return _single_report(gm, structure, tau)
+    return _reports(gm, gm.spectrum, structure, [tau])[0]
 
 
 def link_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
@@ -294,7 +272,7 @@ def link_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) ->
         raise ValueError(
             f"link centrality needs a link-indexed structure, got {structure.name}"
         )
-    return _single_report(gm, structure, tau)
+    return _reports(gm, gm.spectrum, structure, [tau])[0]
 
 
 def centrality_report(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
@@ -311,14 +289,8 @@ def link_sensitivity(gm: GraphMatrices, structure: NoiseStructure, tau: float) -
     exist; the sensor map accounts for B = L itself changing with the
     weight.
     """
-    dec, _ = _stable_decomposition(gm, tau)
-    return _link_sensitivity(gm, dec, structure, tau)
-
-
-def _link_sensitivity(
-    gm: GraphMatrices, dec: SpectralDecomposition, structure: NoiseStructure, tau: float
-) -> np.ndarray:
-    """:func:`link_sensitivity` on the decomposition ``dec`` of a stable configuration."""
+    dec = gm.spectrum
+    require_stable(dec, tau)
     if structure.tag is StructureTag.DYNAMICS:
         g = lambda lam: (tau * lam - np.cos(tau * lam)) / (lam**2 * (1.0 - np.sin(tau * lam)))
     elif structure.tag is StructureTag.SENSOR:
@@ -385,7 +357,7 @@ def tau_sweep(gm: GraphMatrices, structure: NoiseStructure, taus: Sequence[float
     taus = tuple(float(t) for t in taus)
     if not taus:
         raise ValueError("delay grid is empty")
-    reports = _reports(gm, decompose(gm.laplacian, require_connected=True), structure, taus)
+    reports = _reports(gm, gm.spectrum, structure, taus)
     return TauSweepResult(taus=taus, reports=reports, rank_changes=_rank_flips(reports))
 
 
@@ -410,7 +382,7 @@ def scale_sweep(
     alphas = tuple(check_scale(a) for a in alphas)
     if not alphas:
         raise ValueError("scale grid is empty")
-    dec = decompose(gm.laplacian, require_connected=True)
+    dec = gm.spectrum
     baseline = _reports(gm, dec, structure, [0.0])[0]
     reports = [
         _reports(gm, replace(dec, eigenvalues=alpha * dec.eigenvalues), structure, [tau], alpha)[0]
@@ -479,7 +451,7 @@ class EmitterDiagnostic:
 
 
 def emitter_display_diagnostic(gm: GraphMatrices, tau: float) -> EmitterDiagnostic:
-    dec = decompose(gm.laplacian, require_connected=True)
+    dec = gm.spectrum
     generic = _reports(gm, dec, EMITTER, [tau])[0].indices
     degrees = gm.degrees
     q2 = dec.eigenvectors**2  # diag(Q diag(v) Q^T) = Q^2 v

@@ -3,16 +3,20 @@
 A :class:`WeightedGraph` is the single source of truth for everything
 downstream: its canonical edge arrays define link indexing for every report
 in the package, and :func:`build_matrices` derives the Laplacian and the
-degrees from them.
+degrees from them.  A :class:`GraphMatrices` holds the one
+eigendecomposition of its Laplacian that every index is computed from.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
+
+from .spectral import SpectralDecomposition, decompose
 
 
 class GraphError(ValueError):
@@ -176,7 +180,7 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class GraphMatrices:
-    """The Laplacian and the degree vector of one graph.
+    """The Laplacian and the degree vector of one graph, both read-only.
 
     ``laplacian == diag(degrees) - A`` with ``A`` the weighted adjacency;
     dense input matrices (incidence, degree diagonal, adjacency) are built
@@ -195,11 +199,18 @@ class GraphMatrices:
     def num_edges(self) -> int:
         return self.graph.num_edges
 
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        """The Laplacian's eigendecomposition, computed on first access; a
+        disconnected graph raises :class:`DisconnectedGraphError` on every one."""
+        return decompose(self.laplacian, require_connected=True)
+
 
 def build_matrices(g: WeightedGraph) -> GraphMatrices:
     """The Laplacian ``D - A`` and the degrees, filled from the edge arrays
     into one n x n array: degrees are row sums of ``A``, then ``A`` is negated
-    in place (``+ 0.0`` keeps zeros unsigned) and takes them as its diagonal."""
+    in place (``+ 0.0`` keeps zeros unsigned) and takes them as its diagonal.
+    Both are read-only, so :attr:`GraphMatrices.spectrum` cannot go stale."""
     lap = np.zeros((g.n, g.n))
     lap[g.i, g.j] = g.w
     lap[g.j, g.i] = g.w
@@ -207,6 +218,7 @@ def build_matrices(g: WeightedGraph) -> GraphMatrices:
     np.negative(lap, out=lap)
     lap += 0.0
     lap[np.diag_indices(g.n)] = degrees
+    lap.flags.writeable = degrees.flags.writeable = False
     return GraphMatrices(graph=g, laplacian=lap, degrees=degrees)
 
 

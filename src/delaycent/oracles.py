@@ -27,7 +27,7 @@ from .centrality import NoiseStructure, check_variances, input_matrix
 from .graph import GraphMatrices
 from .quadrature import integrate_adaptive
 from .secondorder import critical_delay
-from .spectral import StabilityError, check_delay, check_positive, decompose, require_stable
+from .spectral import StabilityError, check_delay, check_positive, require_stable
 
 # Steps of pre-generated noise held in memory at a time (see _chunk_steps).
 _NOISE_CHUNK = 4096
@@ -94,7 +94,6 @@ class SimConfig:
     horizon: float = 500.0
     n_traj: int = 32
     seed: int = 0
-    scheme: str = "euler-maruyama"
 
     def __post_init__(self) -> None:
         check_delay(self.tau)
@@ -111,8 +110,6 @@ class SimConfig:
             )
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
-        if self.scheme != "euler-maruyama":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
         snapped = self.tau_snapped
         if self.tau > 0 and abs(snapped - self.tau) > 0.005 * self.tau:
             raise ValueError(
@@ -214,8 +211,7 @@ def simulate(
     if b.ndim != 2 or b.shape[0] != n:
         raise ValueError(f"input matrix must have {n} rows, got shape {b.shape}")
     variances = check_variances(variances, b.shape[1])
-    dec = decompose(lap, require_connected=True)
-    require_stable(dec, max(cfg.tau, cfg.tau_snapped))
+    require_stable(gm.spectrum, max(cfg.tau, cfg.tau_snapped))
 
     b_sigma = b * np.sqrt(variances)[None, :]
     # (steps, channels, traj) white increments -> per-state forcing
@@ -239,7 +235,7 @@ def simulate_second_order(
     lap = gm.laplacian
     n = gm.n
     variances = check_variances(variances, n)
-    lam_max = decompose(lap, require_connected=True).lambda_max
+    lam_max = gm.spectrum.lambda_max
     tau_c = critical_delay(lam_max, b_gain) if lam_max > 0 else math.inf
     tau = max(cfg.tau, cfg.tau_snapped)
     if tau >= tau_c:

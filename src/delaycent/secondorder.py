@@ -20,7 +20,7 @@ import numpy as np
 from .graph import GraphMatrices
 from .quadrature import QuadratureError, integrate_rows
 from .report import CentralityReport, make_report
-from .spectral import StabilityError, check_delay, check_positive, decompose
+from .spectral import StabilityError, check_delay, check_positive
 
 SECOND_ORDER_TAG = "second-order-dynamics"
 
@@ -174,7 +174,7 @@ def so_node_centrality(gm: GraphMatrices, cfg: SecondOrderConfig) -> CentralityR
     :class:`StabilityError`; at ``tau_c`` itself the kernel has a zero at
     ``omega_c``, which raises :class:`SecondOrderStabilityError`.
     """
-    dec = decompose(gm.laplacian, require_connected=True)
+    dec = gm.spectrum
     f_vals = _f_per_eigenvalue(dec.nonzero_eigenvalues(), cfg)
     q = dec.eigenvectors[:, dec.zero_mode_count :]
     eta = (q**2) @ f_vals
@@ -191,7 +191,7 @@ def so_node_centrality(gm: GraphMatrices, cfg: SecondOrderConfig) -> CentralityR
 def so_zero_delay_closed_form(gm: GraphMatrices, b: float) -> np.ndarray:
     """Delay-free second-order centrality ``(1/(2b)) diag((L^2)^+)``."""
     check_positive(b, "velocity gain b")
-    dec = decompose(gm.laplacian, require_connected=True)
+    dec = gm.spectrum
     lam = dec.nonzero_eigenvalues()
     q = dec.eigenvectors[:, dec.zero_mode_count :]
     return (q**2) @ (1.0 / (2.0 * b * lam**2))

@@ -32,6 +32,7 @@ from delaycent import (
     tau_sweep,
 )
 from delaycent import centrality as centrality_module
+from delaycent import graph as graph_module
 from delaycent.spectral import kernel
 from delaycent.centrality import centrality_kernel, centrality_report, noise_channels
 from delaycent.report import make_report
@@ -427,8 +428,8 @@ class TestEdgeBlocks:
         if structure.indexes_links:
             run = lambda: centrality_module._reports(gm, dec, structure, [tau])
         else:
-            run = lambda: centrality_module._link_sensitivity(gm, dec, structure, tau)
-        run()  # outside the window: one-time allocations are not per-call memory
+            run = lambda: link_sensitivity(gm, structure, tau)
+        run()  # outside the window: one-time allocations (gm.spectrum too) are not per-call memory
         tracemalloc.start()
         try:
             run()
@@ -639,21 +640,19 @@ class TestSweepSharedDecomposition:
                 assert rep.margin == pytest.approx(ref.margin, rel=1e-12)
                 assert match == (ref.ranking == baseline.ranking)
 
-    def test_each_sweep_decomposes_once(self, ex1_graph, monkeypatch):
+    def test_all_sweeps_share_one_decomposition(self, ex1_graph, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return decompose(*args, **kwargs)
 
-        monkeypatch.setattr(centrality_module, "decompose", counting)
+        monkeypatch.setattr(graph_module, "decompose", counting)
+        gm = build_matrices(ex1_graph.graph)
         for structure in ALL_STRUCTURES:
-            calls.clear()
-            tau_sweep(ex1_graph, structure, np.linspace(0.0, 0.1, 6))
-            assert len(calls) == 1
-            calls.clear()
-            scale_sweep(ex1_graph, structure, 0.05, [0.5, 1.0, 1.5])
-            assert len(calls) == 1
+            tau_sweep(gm, structure, np.linspace(0.0, 0.1, 6))
+            scale_sweep(gm, structure, 0.05, [0.5, 1.0, 1.5])
+        assert len(calls) == 1
 
 
 class TestAdversarialAllocation:

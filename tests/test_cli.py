@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from delaycent import DYNAMICS, NoiseSpec, build_matrices, parse_edge_list, performance
 from delaycent.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -136,6 +137,20 @@ def test_verify_subcommand_passes():
     assert code == 0
     assert json.loads(out)["passed"] is True
     assert "PASS" in err
+
+
+def test_verify_scores_the_closed_form_at_the_snapped_delay():
+    # 777.5 steps of dt = 1e-3 snap to 778: the run steps at tau = 0.778.
+    code, out, err = invoke(
+        "verify", "--graph", str(FIXTURES / "k2.edges"), "--structure", "dynamics",
+        "--tau", "0.7775", "--traj", "2", "--burn-in", "1", "--horizon", "1",
+    )
+    assert code in (0, 4), err
+    payload = json.loads(out)
+    k2 = build_matrices(parse_edge_list("0 1"))
+    assert payload["rho_closed_form"] == float(f"{performance(k2, NoiseSpec(DYNAMICS), 0.778):.12g}")
+    assert payload["tau"] == 0.7775 and payload["tau_snapped"] == 0.778
+    assert "at tau_snapped = 0.778" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

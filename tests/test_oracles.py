@@ -98,8 +98,6 @@ class TestSimConfig:
             SimConfig(tau=0.0, burn_in=0.0)
         with pytest.raises(ValueError):
             SimConfig(tau=0.0, n_traj=0)
-        with pytest.raises(ValueError):
-            SimConfig(tau=0.0, scheme="heun")
 
     @pytest.mark.parametrize("horizon", [4e-4, 5e-4])
     def test_horizon_must_exceed_half_a_step(self, horizon):
