@@ -6,9 +6,9 @@ The network is ``dx/dt = -L x(t - tau) + B xi(t)`` with output deviation
 (link noise); the eta/nu coefficients are the centrality indices computed
 here, together with the per-link weight sensitivities kappa.
 
-All quantities are spectral sums over the nonzero Laplacian eigenvalues;
-the workhorse kernel is ``g(lam) = cos(tau lam) / (lam (1 - sin(tau lam)))``
-applied through :func:`delaycent.spectral.kernel`.
+All quantities are spectral sums over the nonzero Laplacian eigenvalues of maps
+of x = tau lam, chiefly the kernel ``g(lam) = cos x / (lam (1 - sin x))``, applied
+by :func:`delaycent.spectral.kernel` in delta = pi/2 - x (relative error ~ eps x/delta).
 """
 
 from __future__ import annotations
@@ -171,27 +171,32 @@ class NoiseSpec:
         return np.ones(m) if self.variances is None else check_variances(self.variances, m)
 
 
+def _delay_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cos x`` and ``1 / (1 - sin x)`` as ``sin delta`` and ``(1 + cos delta)
+    / sin(delta)^2`` with ``delta = pi/2 - x``: no cancellation as x nears
+    pi/2, and exactly 1 and 1 at x = 0."""
+    delta = np.pi / 2 - x
+    cos_x = np.sin(delta)
+    return cos_x, (1.0 + np.cos(delta)) / cos_x**2
+
+
 def centrality_kernel(dec: SpectralDecomposition, tau: float) -> np.ndarray:
     """Values of K = L^+ cos(tau L) (M_n - sin(tau L))^+ per mode, zero modes 0."""
-    return kernel(dec, lambda lam: np.cos(tau * lam) / (lam * (1.0 - np.sin(tau * lam))))
+    return kernel(dec, lambda lam: np.multiply(*_delay_terms(tau * lam)) / lam)
 
 
 def performance(gm: GraphMatrices, spec: NoiseSpec, tau: float) -> float:
     """Steady-state dispersion rho_ss for a connected, stable configuration.
 
-    Computed as the per-mode sum ``sum b_k cos(tau lam_k) /
-    (2 lam_k (1 - sin(tau lam_k)))`` with ``b_k`` the modal noise power
-    ``[Q^T B diag(sigma^2) B^T Q]_kk``.
+    Computed as ``(1/2) sum_k b_k K_k`` with ``b_k`` the modal noise power
+    ``[Q^T B diag(sigma^2) B^T Q]_kk`` of a dense B, independently of the
+    index contraction.
     """
     var = spec.resolve_variances(gm)
     dec = gm.spectrum
     require_stable(dec, tau)
-    b = input_matrix(gm, spec.structure)
-    modal = dec.eigenvectors.T @ b
-    power = (modal**2) @ var
-    lam = dec.nonzero_eigenvalues()
-    per_mode = np.cos(tau * lam) / (2.0 * lam * (1.0 - np.sin(tau * lam)))
-    return float(power[dec.zero_mode_count :] @ per_mode)
+    modal = dec.eigenvectors.T @ input_matrix(gm, spec.structure)
+    return float(0.5 * ((modal**2) @ var) @ centrality_kernel(dec, tau))
 
 
 # Edges per block of the link modal power: bounds its memory to block x n.
@@ -291,14 +296,16 @@ def link_sensitivity(gm: GraphMatrices, structure: NoiseStructure, tau: float) -
     """
     dec = gm.spectrum
     require_stable(dec, tau)
-    if structure.tag is StructureTag.DYNAMICS:
-        g = lambda lam: (tau * lam - np.cos(tau * lam)) / (lam**2 * (1.0 - np.sin(tau * lam)))
-    elif structure.tag is StructureTag.SENSOR:
-        g = lambda lam: (tau * lam + np.cos(tau * lam)) / (1.0 - np.sin(tau * lam))
-    else:
+    dynamics = structure.tag is StructureTag.DYNAMICS
+    if not dynamics and structure.tag is not StructureTag.SENSOR:
         raise ValueError(
             f"link sensitivity is defined for dynamics and sensor noise, got {structure.name}"
         )
+
+    def g(lam):
+        cos_x, inv = _delay_terms(tau * lam)
+        return (tau * lam - cos_x) * inv / lam**2 if dynamics else (tau * lam + cos_x) * inv
+
     # Measurement rows of (Q^T B)^2 are the bare (q_i - q_j)^2 of each edge.
     return 0.5 * _modal_power(gm, dec, MEASUREMENT, [kernel(dec, g)], 1.0)[0]
 
@@ -456,8 +463,8 @@ def emitter_display_diagnostic(gm: GraphMatrices, tau: float) -> EmitterDiagnost
     degrees = gm.degrees
     q2 = dec.eigenvectors**2  # diag(Q diag(v) Q^T) = Q^2 v
     k = centrality_kernel(dec, tau)
-    c = kernel(dec, lambda lam: np.cos(tau * lam) / (1.0 - np.sin(tau * lam)))  # K L
-    lc = kernel(dec, lambda lam: lam * np.cos(tau * lam) / (1.0 - np.sin(tau * lam)))  # L^2 K
+    c = k * dec.eigenvalues  # K L
+    lc = c * dec.eigenvalues  # L^2 K
     simplified = 0.5 * (degrees**2 * (q2 @ k) - degrees * (q2 @ c) + q2 @ lc)
     return EmitterDiagnostic(
         generic=generic,

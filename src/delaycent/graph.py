@@ -178,7 +178,7 @@ class WeightedGraph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphMatrices:
     """The Laplacian and the degree vector of one graph, both read-only.
 

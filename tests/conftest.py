@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -101,6 +102,51 @@ def assemble(dec, values):
     q = dec.eigenvectors
     m = (q * values) @ q.T
     return 0.5 * (m + m.T)
+
+
+def mp_first_order_maps(tau, lam):
+    """``K = cos x / (lam (1 - sin x))``, ``kappa_dyn = (x - cos x) / (lam^2
+    (1 - sin x))`` and ``kappa_sens = (x + cos x) / (1 - sin x)`` of one mode,
+    x = tau lam, in 50-digit arithmetic at the given floats and rounded to
+    floats.  The reference for the delta form near the stability boundary."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        t, lm = mpmath.mpf(tau), mpmath.mpf(lam)
+        x = t * lm
+        cos_x, inv = mpmath.cos(x), 1 / (1 - mpmath.sin(x))
+        return float(cos_x * inv / lm), float((x - cos_x) * inv / lm**2), float((x + cos_x) * inv)
+
+
+class _NameScopes(ast.NodeVisitor):
+    """The dotted scope (``Class.method``) of every use of one of ``names``,
+    bare (``decompose(...)``) or as an attribute (``np.sin``)."""
+
+    def __init__(self, names):
+        self.names, self.scope, self.found = names, [], []
+
+    def visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+    def visit_Name(self, node):
+        if node.id in self.names:
+            self.found.append(".".join(self.scope))
+
+    def visit_Attribute(self, node):
+        if node.attr in self.names:
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def name_scopes(path, names):
+    """The dotted scope of every use of one of ``names`` in the module at
+    ``path``, in source order: the oracle of the single-site ``ast`` guards."""
+    visitor = _NameScopes(set(names))
+    visitor.visit(ast.parse(Path(path).read_text()))
+    return visitor.found
 
 
 def centering_matrix(n):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaycent import (
     ALL_STRUCTURES,
@@ -44,11 +46,13 @@ from conftest import (
     cycle_graph,
     dense_reference,
     edge_quadratic_form,
+    mp_first_order_maps,
     random_connected_graph,
     ring_chord_graph,
     star_graph,
 )
 
+EPS = np.finfo(float).eps
 AGENT_STRUCTURES = (DYNAMICS, SENSOR, RECEIVER, EMITTER)
 LINK_STRUCTURES = (COMM_CHANNEL, MEASUREMENT)
 
@@ -181,20 +185,21 @@ class TestNodeCentrality:
         with pytest.raises(StabilityError):
             node_centrality(p3, DYNAMICS, math.pi / 6)
 
-    def test_near_boundary_finite_or_explicit_error(self, k2):
-        # Indices blow up but stay finite down to margins around 3e-8; the
-        # report carries the margin so callers can see the conditioning.
+    def test_near_boundary_keeps_its_digits(self, k2):
+        # Indices blow up near the boundary; the report carries the margin so
+        # callers can see the conditioning.
         tau_max = math.pi / 4
         rep = node_centrality(k2, DYNAMICS, tau_max - 1e-6)
         assert np.isfinite(rep.indices).all()
         assert rep.indices[0] > 1e4
         assert rep.margin == pytest.approx(1e-6, rel=1e-3)
-        # Closer still, 1 - sin(tau * lam) underflows to exactly zero in
-        # doubles and the evaluation refuses to fabricate a value.
-        from delaycent import SpectralError
-
-        with pytest.raises(SpectralError, match="not finite"):
-            node_centrality(k2, DYNAMICS, tau_max - 2e-9)
+        # Closer still, 1 - sin(tau * lam) rounds to exactly zero in doubles;
+        # the delta form keeps eta = K / 4 to a few eps per relative margin.
+        tau = tau_max - 2e-9
+        want = mp_first_order_maps(tau, 2.0)[0] / 4
+        rep = node_centrality(k2, DYNAMICS, tau)
+        np.testing.assert_allclose(rep.indices, [want, want], rtol=4 * EPS * tau_max / 2e-9)
+        assert want == pytest.approx(62499997.341, rel=1e-11)
 
     def test_custom_over_nodes_matches_dynamics(self, p3):
         custom = NoiseStructure.custom(np.eye(3), over="nodes")
@@ -279,6 +284,58 @@ class TestDecompositionIdentity:
                     rho = performance(gm, NoiseSpec(structure, var), tau)
                     rep = centrality_report(gm, structure, tau)
                     assert rho == pytest.approx(float(rep.indices @ var), rel=1e-10)
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on n <= 12 nodes plus up to n more edges, with
+    weights in [0.1, 10]."""
+    n = draw(st.integers(2, 12))
+    weight = st.floats(min_value=0.1, max_value=10.0)
+    edges = {(draw(st.integers(0, k - 1)), k): draw(weight) for k in range(1, n)}
+    node = st.integers(0, n - 1)
+    for i, j, w in draw(st.lists(st.tuples(node, node, weight), max_size=n)):
+        if i != j:
+            edges.setdefault((min(i, j), max(i, j)), w)
+    return WeightedGraph(n=n, edges=tuple((i, j, w) for (i, j), w in edges.items()))
+
+
+delay_fractions = st.floats(min_value=0.0, max_value=0.999)
+
+
+class TestRandomGraphProperties:
+    @settings(deadline=None)
+    @given(
+        g=connected_graphs(),
+        structure=st.sampled_from(ALL_STRUCTURES),
+        f=delay_fractions,
+        data=st.data(),
+    )
+    def test_indices_decompose_the_dispersion(self, g, structure, f, data):
+        gm = build_matrices(g)
+        tau = f * math.pi / (2 * gm.spectrum.lambda_max)
+        m = noise_channels(gm, structure)
+        var = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m)))
+        rho = performance(gm, NoiseSpec(structure, var), tau)
+        assert float(centrality_report(gm, structure, tau).indices @ var) == pytest.approx(
+            rho, rel=1e-10
+        )
+
+    @settings(deadline=None)
+    @given(
+        g=connected_graphs(),
+        structure=st.sampled_from(AGENT_STRUCTURES),
+        f=delay_fractions,
+        data=st.data(),
+    )
+    def test_relabelling_permutes_the_indices(self, g, structure, f, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        relabelled = WeightedGraph(n=g.n, edges=tuple((perm[i], perm[j], w) for i, j, w in g.edges))
+        gm = build_matrices(g)
+        tau = f * math.pi / (2 * gm.spectrum.lambda_max)
+        eta = node_centrality(gm, structure, tau).indices
+        moved = node_centrality(build_matrices(relabelled), structure, tau).indices
+        np.testing.assert_allclose(moved[perm], eta, rtol=1e-9)
 
 
 class TestMonotonicityAndPositivity:

@@ -5,7 +5,6 @@ Every index is a function of the Laplacian's eigenpairs, so a
 use, and every analysis run on it shares that decomposition.
 """
 
-import ast
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 import delaycent as dc
 from delaycent.cli import run
 
-from conftest import FIXTURES, graph_from_edges
+from conftest import FIXTURES, graph_from_edges, name_scopes
 
 SHORT = dict(dt=0.01, burn_in=0.1, horizon=0.1, n_traj=2, seed=7)
 
@@ -64,6 +63,17 @@ def test_laplacian_and_degrees_are_read_only(p3):
         p3.degrees[0] = 5.0
 
 
+def test_graph_matrices_compare_and_hash_by_identity(eigh_calls):
+    g = dc.parse_edge_list("0 1\n1 2\n")
+    gm, twin = dc.build_matrices(g), dc.build_matrices(g)
+    assert gm == gm
+    assert gm != twin
+    assert {gm, twin, gm} == {gm, twin}
+    assert hash(gm) == hash(gm)
+    assert gm.spectrum is gm.spectrum
+    assert len(eigh_calls) == 1
+
+
 def test_disconnected_spectrum_raises_on_every_access(eigh_calls):
     gm = dc.build_matrices(graph_from_edges(4, [(0, 1), (2, 3)]))
     with pytest.raises(dc.DisconnectedGraphError) as direct:
@@ -75,29 +85,8 @@ def test_disconnected_spectrum_raises_on_every_access(eigh_calls):
     assert len(eigh_calls) == 3  # a failed decomposition is not kept
 
 
-class _DecomposeCalls(ast.NodeVisitor):
-    """The dotted scope (``Class.method``) of every ``decompose(...)`` call."""
-
-    def __init__(self):
-        self.scope, self.found = [], []
-
-    def visit_scope(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
-
-    def visit_Call(self, node):
-        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "decompose":
-            self.found.append(".".join(self.scope))
-        self.generic_visit(node)
-
-
 def test_only_graph_matrices_spectrum_decomposes():
     callers = []
     for path in sorted(Path(dc.__file__).parent.glob("*.py")):
-        visitor = _DecomposeCalls()
-        visitor.visit(ast.parse(path.read_text()))
-        callers += [f"{path.name}:{scope}" for scope in visitor.found]
+        callers += [f"{path.name}:{scope}" for scope in name_scopes(path, ["decompose"])]
     assert callers == ["graph.py:GraphMatrices.spectrum"]
