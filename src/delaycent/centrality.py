@@ -310,35 +310,54 @@ def link_sensitivity(gm: GraphMatrices, structure: NoiseStructure, tau: float) -
     return 0.5 * _modal_power(gm, dec, MEASUREMENT, [kernel(dec, g)], 1.0)[0]
 
 
-# Rows per block of the pairwise flip test: bounds its memory to block x m.
+# Rows per block of the pairwise flip test: its boolean mask is block x m.
 _FLIP_BLOCK = 256
+
+
+def _flip_keys(a: CentralityReport, b: CentralityReport) -> np.ndarray:
+    """The flips from report ``a`` to ``b`` as sorted keys
+    ``2 (m min(i, j) + max(i, j)) + [i > j]``, one per pair with ``i`` strictly
+    ahead of ``j`` in ``a`` and strictly behind it in ``b``.  ``_FLIP_BLOCK``
+    rows ``i`` are tested at a time against every column ``j``."""
+    x, y = a.indices, b.indices
+    x_tol, y_tol = x + a.rank_tol(), y + b.rank_tol()
+    m = x.size
+    blocks = []
+    for start in range(0, m, _FLIP_BLOCK):
+        rows = slice(start, start + _FLIP_BLOCK)
+        ahead = x[rows, None] > x_tol
+        ahead &= y > y_tol[rows, None]
+        i, j = divmod(np.flatnonzero(ahead), m)
+        i += start
+        blocks.append(2 * (m * np.minimum(i, j) + np.maximum(i, j)) + (i > j))
+    keys = np.concatenate(blocks)
+    keys.sort()
+    return keys
 
 
 def _rank_flips(reports: Sequence[CentralityReport]) -> np.ndarray:
     """Strict-order reversals between neighboring reports as an ``(F, 3)``
     intp array of rows ``(k, i, j)``: ``x_i > x_j + tol`` at report k and
     the reverse, beyond its own tolerance, at report k + 1.  Rows are
-    ordered by k, then by the pair ``(min, max)``.  ``_FLIP_BLOCK`` rows
-    are compared at a time against the columns from the block start on."""
-    parts = [np.empty((0, 3), dtype=np.intp)]
-    for k, (a, b) in enumerate(zip(reports, reports[1:])):
-        x, y = a.indices, b.indices
-        x_tol, y_tol = x + a.rank_tol(), y + b.rank_tol()
-        for start in range(0, x.size, _FLIP_BLOCK):
-            rows = slice(start, start + _FLIP_BLOCK)
-            up = x[rows, None] > x_tol[start:]
-            up &= y[start:] > y_tol[rows, None]
-            down = x[start:] > x_tol[rows, None]
-            down &= y[rows, None] > y_tol[start:]
-            down |= up
-            square = down[:, : len(down)]
-            square &= ~np.tri(len(down), dtype=bool)  # keep i < j only
-            r, c = np.nonzero(down)
-            ahead = up[r, c]
-            i, j = r + start, c + start
-            columns = [np.full_like(i, k), np.where(ahead, i, j), np.where(ahead, j, i)]
-            parts.append(np.stack(columns, axis=1))
-    return np.concatenate(parts)
+    ordered by k, then by the pair ``(min, max)``.  Until the output is
+    filled, each step holds only its keys from :func:`_flip_keys`."""
+    steps = [_flip_keys(a, b) for a, b in zip(reports, reports[1:])]
+    flips = np.empty((sum(map(len, steps)), 3), dtype=np.intp)
+    end = 0
+    for k in range(len(steps)):
+        keys, steps[k] = steps[k], None  # a decoded step frees its keys
+        start, end = end, end + len(keys)
+        flips[start:end, 0] = k
+        lead, trail = flips[start:end, 1], flips[start:end, 2]
+        np.divmod(keys, 2 * reports[k].size, out=(lead, trail))  # min, 2 max + [i > j]
+        later = np.bitwise_and(trail, 1, out=keys).astype(bool)
+        trail >>= 1
+        # Where the later id leads, swap: min + d and max - d, d = max - min.
+        d = np.subtract(trail, lead, out=keys)
+        d *= later
+        lead += d
+        trail -= d
+    return flips
 
 
 @dataclass(frozen=True)

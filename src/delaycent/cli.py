@@ -55,6 +55,25 @@ def _json_float(x: float) -> str:
     return repr(float(_fmt_float(x))) if math.isfinite(x) else "null"
 
 
+def _json_floats(items: list | tuple) -> list[str]:
+    """``_json_float`` of every element of a flat list of floats.
+
+    A decimal of at most 12 significant digits is the shortest round-trip
+    text of its nearest normal double, so its ``%g`` text is already what
+    ``repr`` prints, except where the value is integral ("3" against
+    "3.0"), at least 1e12 (exponent against digits) or subnormal.  One mask
+    flags a superset of those, and only they take the ``repr`` path."""
+    values = np.array(items)
+    if not np.isfinite(values).all():
+        return list(map(_json_float, items))
+    texts = ("\0".join([f"%.{_SIG_DIGITS}g"] * len(items)) % tuple(items)).split("\0")
+    size = np.abs(values)
+    odd = (size >= 1e12) | (size < 2.3e-308) | (np.abs(values - np.round(values)) <= 1e-11 * size)
+    for k in np.flatnonzero(odd).tolist():
+        texts[k] = repr(float(texts[k]))
+    return texts
+
+
 def _json_items(items: list | tuple, nl: str):
     """The encoded elements of one list, each on a line starting with ``nl``.
 
@@ -62,10 +81,7 @@ def _json_items(items: list | tuple, nl: str):
     element by element."""
     types = set(map(type, items))
     if types == {float}:
-        # A finite sum means no element is inf or nan.
-        if math.isfinite(sum(items)):
-            return map(float.__repr__, map(float, map(_fmt_float, items)))
-        return map(_json_float, items)
+        return _json_floats(items)
     if types == {int}:
         return map(int.__repr__, items)
     return (_json_value(v, nl) for v in items)

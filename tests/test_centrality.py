@@ -590,9 +590,12 @@ def brute_force_flips(reports):
     return flips
 
 
+FLIP_PALETTE = (1.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9, 0.25, 0.25 - 1e-9, 0.0)
+
+
 class TestFlipBlocks:
-    """Rank flips compare ``_FLIP_BLOCK`` rows at a time against the columns
-    from the block start on; no m x m array is formed."""
+    """Rank flips test ``_FLIP_BLOCK`` rows at a time against every column;
+    no m x m array is formed."""
 
     @pytest.mark.parametrize("structure", [DYNAMICS, SENSOR, MEASUREMENT])
     def test_block_boundaries_match_brute_force(self, ring_chord100, structure, monkeypatch):
@@ -639,6 +642,44 @@ class TestFlipBlocks:
             tracemalloc.stop()
         assert len(flips) > 0
         assert peak < 16 * block * gm.num_edges + 2 * flips.nbytes
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_random_chains_match_brute_force(self, data):
+        # Every report holds 1.0, so its tolerance is exactly 1e-9: the
+        # palette gives ties and gaps of exactly one tolerance (not strict).
+        m = data.draw(st.integers(1, 50), label="m")
+        values = st.one_of(st.sampled_from(FLIP_PALETTE), st.floats(-1.0, 1.0))
+        reports = []
+        for _ in range(data.draw(st.integers(1, 3), label="reports")):
+            x = data.draw(st.lists(values, min_size=m - 1, max_size=m - 1))
+            x.insert(data.draw(st.integers(0, m - 1)), 1.0)
+            reports.append(make_report(0.0, "dynamics", np.array(x), None, None))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(centrality_module, "_FLIP_BLOCK", 16)
+            flips = centrality_module._rank_flips(reports)
+        expected = brute_force_flips(reports)
+        assert flips.dtype == np.intp and flips.shape == (len(expected), 3)
+        assert flips.tolist() == expected
+
+    def test_output_is_held_once(self, monkeypatch):
+        # Until the (F, 3) output is filled only the sorted keys of each step
+        # (8 bytes a flip) stay alive, not a second copy of the output.
+        block = 16
+        monkeypatch.setattr(centrality_module, "_FLIP_BLOCK", block)
+        gm = build_matrices(ring_chord_graph(200, 3))
+        tau_max = math.pi / (2 * gm.spectrum.lambda_max)
+        taus = np.linspace(0.0, 0.95 * tau_max, 6)
+        reports = centrality_module._reports(gm, gm.spectrum, MEASUREMENT, taus)
+        centrality_module._rank_flips(reports)  # outside the window, as above
+        tracemalloc.start()
+        try:
+            flips = centrality_module._rank_flips(reports)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(flips) > 0
+        assert peak < 16 * block * gm.num_edges + 1.5 * flips.nbytes
 
     def test_no_m_by_m_array(self):
         # Any m x m array of one-byte entries would push the peak past m^2 bytes.

@@ -14,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from delaycent.cli import _to_json
+from delaycent import MEASUREMENT, build_matrices, tau_sweep
+from delaycent.cli import _to_json, run
+
+from conftest import ring_chord_graph
 
 
 def _jsonable(obj):
@@ -97,6 +100,23 @@ def test_writer_matches_oracle(payload):
     assert _to_json(payload) == oracle(payload)
 
 
+# Where the %.12g text needs the repr path (signed zero, subnormals, values
+# that round to an integer or reach 1e12) and normal values beside them.
+FLOAT_EDGES = [
+    0.0,
+    -0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    0.9999999999995,
+    999999999999.5,
+    1e12,
+    1e15 + 0.3,
+    1e16,
+    9.99999999999995e-5,
+    1e-5,
+]
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -128,6 +148,10 @@ def test_writer_matches_oracle(payload):
         np.array([[True, False]]),
         [1e308, 1e308],
         [1e308, -1e308, 0.5],
+        FLOAT_EDGES,
+        [-x for x in FLOAT_EDGES],
+        [x / 3 for x in FLOAT_EDGES],
+        [*FLOAT_EDGES, math.nan, 2.5, math.inf, -math.inf],
     ],
 )
 def test_writer_edge_cases(payload):
@@ -140,6 +164,52 @@ def test_writer_refuses_what_json_refuses(payload):
         oracle(payload)
     with pytest.raises(TypeError):
         _to_json(payload)
+
+
+# Finite doubles, weighted towards where the %.12g text and repr part ways:
+# the special floats above, ties at the 12th significant digit (normal and
+# subnormal) and near-integers, whose 12-digit rounding is integral.
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    special_floats.filter(math.isfinite),
+    st.builds(lambda d, e: float(f"{d}5e{e}"), st.integers(10**11, 10**12 - 1), st.integers(-335, 290)),
+    st.builds(
+        lambda k, t: k + t,
+        st.integers(-(10**6), 10**6),
+        st.sampled_from([0.0, 5e-13, -5e-13, 4e-12, 1e-11, 1e-10, 0.5]),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(finite_floats, max_size=40))
+def test_finite_float_lists_match_oracle(values):
+    assert _to_json(values) == oracle(values)
+
+
+@pytest.mark.parametrize("remapped", [False, True], ids=["identity", "remapped"])
+def test_sweep_tau_output_matches_oracle(remapped, tmp_path):
+    # Thousands of flips and float lists from the CLI, against the oracle on
+    # a payload built from the library; raw ids name the links' ends.
+    g = ring_chord_graph(60, 9)
+    raw = 1000 + 7 * np.arange(g.n) if remapped else np.arange(g.n)
+    graph = tmp_path / "ring.edges"
+    graph.write_text("".join(f"{raw[i]} {raw[j]} {w!r}\n" for i, j, w in g.edges))
+    gm = build_matrices(g)
+    grid = np.linspace(0.0, 0.95 * math.pi / (2 * gm.spectrum.lambda_max), 20).tolist()
+    out = tmp_path / "sweep.json"
+    argv = ["sweep-tau", "--graph", str(graph), "--structure", "measurement"]
+    assert run([*argv, "--tau-grid", ",".join(map(repr, grid)), "--output", str(out)]) == 0
+    sweep = tau_sweep(gm, MEASUREMENT, grid)
+    assert len(sweep.rank_changes) >= 1000
+    links = raw[np.stack([gm.graph.i, gm.graph.j], axis=1)]
+    payload = {
+        "structure": "measurement",
+        "tau_grid": grid,
+        "reports": [{**r.to_dict(), "links": links} for r in sweep.reports],
+        "rank_changes": sweep.rank_changes,
+    }
+    assert out.read_text() == oracle(payload) + "\n"
 
 
 def test_writer_refuses_non_string_keys():
