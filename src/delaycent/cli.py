@@ -74,58 +74,74 @@ def _json_floats(items: list | tuple) -> list[str]:
     return texts
 
 
-def _json_items(items: list | tuple, nl: str):
-    """The encoded elements of one list, each on a line starting with ``nl``.
-
-    Flat lists of floats or of ints are encoded in one pass; anything else
-    element by element."""
-    types = set(map(type, items))
-    if types == {float}:
-        return _json_floats(items)
-    if types == {int}:
-        return map(int.__repr__, items)
-    return (_json_value(v, nl) for v in items)
+# Rows of a 2-D int array formatted at a time: a flip-log block of 1024
+# rows is about 44 KB of text, so no piece of a streamed report comes near
+# the 128 KiB at which glibc's allocator maps fresh pages for a temporary.
+_ROW_BLOCK = 1024
 
 
-def _json_value(obj: Any, nl: str) -> str:
+def _json_parts(obj: Any, nl: str):
     """``obj`` as ``json.dumps(indent=2, sort_keys=True)`` writes it after rounding
-    every float to 12 significant digits (non-finite ones to null); numpy
-    scalars and arrays count as numbers and lists, tuples as lists, and dict
-    keys must be strings.  ``nl`` is the newline plus the indentation of the
-    line ``obj`` starts on."""
+    every float to 12 significant digits (non-finite ones to null), yielded in
+    pieces; numpy scalars and arrays count as numbers and lists, tuples as
+    lists, and dict keys must be strings.  ``nl`` is the newline plus the
+    indentation of the line ``obj`` starts on.  Flat lists of floats or of
+    ints are one piece each; 2-D int arrays (rank flips, link pairs) come
+    ``_ROW_BLOCK`` rows to a piece, through one ``%d`` row template."""
     if isinstance(obj, str):
-        return _json_str(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (float, np.floating)):
-        return _json_float(float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
-    if obj is None:
-        return "null"
-    inner = nl + "  "
-    if isinstance(obj, dict):
+        yield _json_str(obj)
+    elif isinstance(obj, bool):
+        yield "true" if obj else "false"
+    elif isinstance(obj, (float, np.floating)):
+        yield _json_float(float(obj))
+    elif isinstance(obj, (int, np.integer)):
+        yield int.__repr__(int(obj))
+    elif obj is None:
+        yield "null"
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        fields = (f"{_json_str(k)}: {_json_value(v, inner)}" for k, v in sorted(obj.items()))
-        return "{" + inner + ("," + inner).join(fields) + nl + "}"
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 2 and obj.size and np.issubdtype(obj.dtype, np.integer):
-            # Int rows (rank flips, link pairs): one row template, one format.
-            cell = inner + "  "
-            row = "[" + cell + ("," + cell).join(["%d"] * obj.shape[1]) + inner + "]"
-            rows = ("," + inner).join([row] * obj.shape[0])
-            return "[" + inner + rows % tuple(obj.ravel().tolist()) + nl + "]"
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
+            yield "{}"
+            return
+        inner, sep = nl + "  ", "{"
+        for k, v in sorted(obj.items()):
+            yield f"{sep}{inner}{_json_str(k)}: "
+            yield from _json_parts(v, inner)
+            sep = ","
+        yield nl + "}"
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size and np.issubdtype(obj.dtype, np.integer):
+        inner, cell = nl + "  ", nl + "    "
+        row = "[" + cell + ("," + cell).join(["%d"] * obj.shape[1]) + inner + "]"
+        sep = "["
+        for start in range(0, obj.shape[0], _ROW_BLOCK):
+            block = obj[start : start + _ROW_BLOCK]
+            rows = ("," + inner).join([row] * block.shape[0])
+            yield sep + inner + rows % tuple(block.ravel().tolist())
+            sep = ","
+        yield nl + "]"
+    else:
+        if isinstance(obj, np.ndarray):
+            obj = obj.tolist()
+        if not isinstance(obj, (list, tuple)):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_json_items(obj, inner)) + nl + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            yield "[]"
+            return
+        inner = nl + "  "
+        types = set(map(type, obj))
+        if types == {float} or types == {int}:
+            texts = _json_floats(obj) if types == {float} else map(int.__repr__, obj)
+            yield "[" + inner + ("," + inner).join(texts) + nl + "]"
+            return
+        sep = "["
+        for v in obj:
+            yield sep + inner
+            yield from _json_parts(v, inner)
+            sep = ","
+        yield nl + "]"
 
 
 def _to_json(obj: Any) -> str:
-    return _json_value(obj, "\n")
+    return "".join(_json_parts(obj, "\n"))
 
 
 def _csv_cell(value: Any) -> str:
@@ -148,11 +164,12 @@ def _writing(path: str | Path | None):
 
 
 def _emit(payload: dict, header, rows, fmt: str, output: str | None) -> None:
-    """Write one report.  JSON is a single sorted document; CSV streams row
-    by row so long sweeps never buffer their full table."""
+    """Write one report.  JSON is written piece by piece, int rows in blocks,
+    and CSV row by row, so a long sweep never holds its whole report as text."""
     with _writing(output) as handle:
         if fmt == "json":
-            handle.write(_to_json(payload) + "\n")
+            handle.writelines(_json_parts(payload, "\n"))
+            handle.write("\n")
             return
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)

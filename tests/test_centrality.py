@@ -337,6 +337,20 @@ class TestRandomGraphProperties:
         moved = node_centrality(build_matrices(relabelled), structure, tau).indices
         np.testing.assert_allclose(moved[perm], eta, rtol=1e-9)
 
+    @settings(deadline=None)
+    @given(
+        g=connected_graphs(),
+        steps=st.lists(st.integers(0, 999), min_size=2, max_size=10, unique=True),
+    )
+    def test_indices_increase_along_a_delay_grid(self, g, steps):
+        # Every channel loads some nonzero mode, and each mode's term grows
+        # strictly in tau, so no index may stall or fall between delays.
+        gm = build_matrices(g)
+        taus = np.sort(steps) / 1000 * math.pi / (2 * gm.spectrum.lambda_max)
+        for structure in ALL_STRUCTURES:
+            indices = np.array([r.indices for r in tau_sweep(gm, structure, taus).reports])
+            assert (np.diff(indices, axis=0) > 0).all(), structure.name
+
 
 class TestMonotonicityAndPositivity:
     def test_indices_increase_with_delay(self):
@@ -625,8 +639,9 @@ class TestFlipBlocks:
 
     def test_peak_memory_is_a_few_flip_blocks(self, monkeypatch):
         # In the style of the edge-block guard: an m x m int8 sign matrix
-        # alone takes m / block = 50 block units here.  The output counts
-        # twice: once as per-block parts, once concatenated.
+        # alone takes m / block = 50 block units here.  The output is held
+        # once, beside the sort keys of every step (8 bytes a flip, a third
+        # of its size), which it is decoded from.
         block = 16
         monkeypatch.setattr(centrality_module, "_FLIP_BLOCK", block)
         gm = build_matrices(ring_chord_graph(200, 3))

@@ -7,6 +7,7 @@ float rounded to 12 significant digits by a recursive copy, then
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from delaycent import MEASUREMENT, build_matrices, tau_sweep
+from delaycent import cli
 from delaycent.cli import _to_json, run
 
 from conftest import ring_chord_graph
@@ -216,3 +218,68 @@ def test_writer_refuses_non_string_keys():
     # Reports only have string keys; json would print 1 as "1".
     with pytest.raises(TypeError):
         _to_json({1: 2})
+
+
+# Int rows are written a block at a time; a block of 4 puts every boundary
+# case (empty, partial, exact, one over, several blocks) in a few rows.
+@pytest.mark.parametrize("cols", [1, 2, 3])
+@pytest.mark.parametrize("rows", [0, 1, 3, 4, 5, 8, 13])
+def test_int_rows_across_blocks(rows, cols, monkeypatch):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 4)
+    k = np.arange(rows * cols).reshape(rows, cols)
+    payload = {
+        "low": np.int64(-(2**63)) + k,
+        "signed": (k - rows * cols // 2) * 10**15,
+        "top": [np.uint64(2**64 - 1) - k.astype(np.uint64)],
+    }
+    assert _to_json(payload) == oracle(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        hnp.arrays(np.intp, rows_2d),
+        hnp.arrays(np.uint64, rows_2d, elements=st.integers(2**63, 2**64 - 1)),
+    )
+)
+def test_int_rows_in_small_blocks_match_oracle(rows):
+    payload = {"rows": [rows, rows]}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_ROW_BLOCK", 4)
+        assert _to_json(payload) == oracle(payload)
+
+
+def _ring_sweep_argv(tmp_path, n):
+    # A measurement sweep on a ring with chords: thousands of flips, ids as given.
+    g = ring_chord_graph(n, 9)
+    graph = tmp_path / "ring.edges"
+    graph.write_text("".join(f"{i} {j} {w!r}\n" for i, j, w in g.edges))
+    tau_max = math.pi / (2 * build_matrices(g).spectrum.lambda_max)
+    grid = np.linspace(0.0, 0.95 * tau_max, 20).tolist()
+    return ["sweep-tau", "--graph", str(graph), "--structure", "measurement", "--tau-grid", ",".join(map(repr, grid))]
+
+
+def test_emit_never_holds_the_whole_report(tmp_path):
+    # Writing the report takes a few row blocks of memory, not the file's size.
+    args = cli.build_parser().parse_args(_ring_sweep_argv(tmp_path, 100))
+    payload, header, rows = args.func(args, *cli._load_graph(args))
+    assert len(payload["rank_changes"]) >= 10_000
+    out = tmp_path / "sweep.json"
+    cli._emit(payload, header, rows, "json", str(out))  # outside the window: first-call set-up
+    tracemalloc.start()
+    try:
+        cli._emit(payload, header, rows, "json", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 8
+
+
+def test_stdout_report_equals_the_output_file(tmp_path, capsys):
+    argv = _ring_sweep_argv(tmp_path, 60)
+    out = tmp_path / "sweep.json"
+    assert run([*argv, "--output", str(out)]) == 0
+    assert run(argv) == 0
+    text = out.read_bytes()
+    assert len(json.loads(text)["rank_changes"]) > cli._ROW_BLOCK
+    assert capsys.readouterr().out.encode() == text
