@@ -190,13 +190,22 @@ def performance(gm: GraphMatrices, spec: NoiseSpec, tau: float) -> float:
 
     Computed as ``(1/2) sum_k b_k K_k`` with ``b_k`` the modal noise power
     ``[Q^T B diag(sigma^2) B^T Q]_kk`` of a dense B, independently of the
-    index contraction.
+    index contraction.  A diagonal B (dynamics I, receiver D) scales the
+    columns of ``Q^T`` instead, which is the same product bit for bit.
     """
     var = spec.resolve_variances(gm)
     dec = gm.spectrum
     require_stable(dec, tau)
-    modal = dec.eigenvectors.T @ input_matrix(gm, spec.structure)
-    return float(0.5 * ((modal**2) @ var) @ centrality_kernel(dec, tau))
+    q_t, tag = dec.eigenvectors.T, spec.structure.tag
+    if tag is StructureTag.DYNAMICS:
+        modal = q_t
+    elif tag is StructureTag.RECEIVER:
+        modal = q_t * gm.degrees
+    else:
+        modal = q_t @ input_matrix(gm, spec.structure)
+    # Row-major like the dense product, so the modal sums run in one order.
+    power = np.square(modal, order="C")
+    return float(0.5 * (power @ var) @ centrality_kernel(dec, tau))
 
 
 # Edges per block of the link modal power: bounds its memory to block x n.

@@ -85,7 +85,7 @@ class SimConfig:
     for a delayed run, and the horizon must be longer than half a step.
     Trajectory ``t`` draws from a counter-based generator keyed by the pair
     ``(t, seed)``, so results are independent of trajectory scheduling and
-    distinct seeds give independent streams.
+    distinct seeds give independent streams; the seed must lie in [0, 2**64).
     """
 
     tau: float
@@ -110,6 +110,8 @@ class SimConfig:
             )
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         snapped = self.tau_snapped
         if self.tau > 0 and abs(snapped - self.tau) > 0.005 * self.tau:
             raise ValueError(
@@ -160,7 +162,7 @@ class SimResult:
 
 def _trajectory_generators(seed: int, n_traj: int) -> list[np.random.Generator]:
     return [
-        np.random.Generator(np.random.Philox(key=(t << 64) | (seed & (2**64 - 1))))
+        np.random.Generator(np.random.Philox(key=(t << 64) | seed))
         for t in range(n_traj)
     ]
 
@@ -170,15 +172,11 @@ def _check_finite(x: np.ndarray, step: int) -> None:
         raise SimulationError(f"numerically unstable run: state blew up at step {step}")
 
 
-def _finish(
-    sum_sq_node: np.ndarray,
-    sum_sq_traj: np.ndarray,
-    meas_steps: int,
-    cfg: SimConfig,
-) -> SimResult:
+def _finish(sum_sq: np.ndarray, meas_steps: int, cfg: SimConfig) -> SimResult:
+    """Per-node variances and per-trajectory means from the ``_measure`` table."""
     n_traj = cfg.n_traj
-    per_node_var = sum_sq_node / (meas_steps * n_traj)
-    per_traj_mean = sum_sq_traj / meas_steps
+    per_node_var = sum_sq.sum(axis=1) / (meas_steps * n_traj)
+    per_traj_mean = sum_sq.sum(axis=0) / meas_steps
     rho_hat = float(per_node_var.sum())
     return SimResult(
         rho_hat=rho_hat,
@@ -189,6 +187,19 @@ def _finish(
         config=cfg,
         per_traj_mean=per_traj_mean,
     )
+
+
+def _measure(y: np.ndarray, sum_sq: np.ndarray, centres: np.ndarray, scratch: np.ndarray) -> None:
+    """Add the squared deviations of states ``y`` (steps, n, traj) from their
+    node mean, summed over steps, to the ``(n, traj)`` table ``sum_sq``, one
+    contiguous (n, traj) slab per step.  ``centres`` (steps, traj) and
+    ``scratch`` (steps, n, traj) are buffers of at least ``len(y)`` steps."""
+    k = y.shape[0]
+    centre = np.einsum("knt->kt", y, out=centres[:k])
+    centre /= y.shape[1]
+    dev = np.subtract(y, centre[:, None], out=scratch[:k])
+    dev *= dev
+    sum_sq += dev.sum(axis=0)
 
 
 def simulate(
@@ -261,8 +272,9 @@ def _run_euler_maruyama(cfg: SimConfig, lap, n_channels, mix_noise, b_gain=None)
     ``hist[d+1+i]``; at the chunk end the last d+1 states move to the front.
     Chunks are :func:`_chunk_steps` long, in draw, noise and forcing buffers
     allocated once per run; ``mix_noise(z, out)`` writes forcing into ``out``,
-    which then holds the squared deviations that measurement sums.  Each
-    trajectory draws from its own stream in order, so no state depends on the chunk length.
+    which :func:`_measure` then reuses as scratch once the chunk is stepped.
+    Each trajectory draws from its own stream in order, so no state depends
+    on the chunk length.
     """
     dt = cfg.dt
     d = cfg.delay_steps
@@ -280,8 +292,8 @@ def _run_euler_maruyama(cfg: SimConfig, lap, n_channels, mix_noise, b_gain=None)
     noise = np.empty((chunk, n_channels, n_traj))
     forcing = np.empty((chunk, n, n_traj))
     work = np.empty((2 * min(d + 1, chunk) + 1, n, n_traj))
-    sum_sq_node = np.zeros(n)
-    sum_sq_traj = np.zeros(n_traj)
+    centres = np.empty((chunk, n_traj))
+    sum_sq = np.zeros((n, n_traj))
 
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -299,13 +311,9 @@ def _run_euler_maruyama(cfg: SimConfig, lap, n_channels, mix_noise, b_gain=None)
             _check_finite(hist[d + k], step)
             first_measured = max(0, burn_steps - (step - k))
             if first_measured < k:
-                y = hist[d + 1 + first_measured : d + 1 + k, :n]
-                ysq = np.subtract(y, y.mean(axis=1, keepdims=True), out=forcing[: k - first_measured])
-                ysq *= ysq
-                sum_sq_node += ysq.sum(axis=(0, 2))
-                sum_sq_traj += ysq.sum(axis=(0, 1))
+                _measure(hist[d + 1 + first_measured : d + 1 + k, :n], sum_sq, centres, forcing)
             hist[: d + 1] = hist[k : k + d + 1]
-    return _finish(sum_sq_node, sum_sq_traj, meas_steps, cfg)
+    return _finish(sum_sq, meas_steps, cfg)
 
 
 def _advance_blocks(hist, forcing, lap, dt, d, b_gain, work) -> None:

@@ -257,7 +257,9 @@ def stepwise_euler_maruyama(cfg, n_state, n_channels, mix_noise, step_fn, observ
     """The former Euler-Maruyama loop: one Python step per time step, the
     delayed state read from a ring buffer of d+1 slots, noise mixed by
     ``mix_noise`` one chunk of ``oracles._chunk_steps`` steps at a time.
-    The oracle for the blocked loop of :mod:`delaycent.oracles`."""
+    The oracle for the stepping of the blocked loop of :mod:`delaycent.oracles`;
+    each chunk is measured by the same ``oracles._measure``, which
+    ``test_oracles.TestMeasure`` checks on its own."""
     dt = cfg.dt
     d = cfg.delay_steps
     burn_steps = int(round(cfg.burn_in / dt))
@@ -270,8 +272,7 @@ def stepwise_euler_maruyama(cfg, n_state, n_channels, mix_noise, step_fn, observ
     history = np.zeros((d + 1, n_state, n_traj))
     state = history[0]
     n_obs = len(range(*observe_rows.indices(n_state)))
-    sum_sq_node = np.zeros(n_obs)
-    sum_sq_traj = np.zeros(n_traj)
+    sum_sq = np.zeros((n_obs, n_traj))
 
     chunk_steps = oracles._chunk_steps(max(n_state, n_channels), n_traj, d)
     step = 0
@@ -294,11 +295,8 @@ def stepwise_euler_maruyama(cfg, n_state, n_channels, mix_noise, step_fn, observ
             first_measured = max(0, burn_steps - (step - chunk))
             if first_measured < chunk:
                 y = recorded[first_measured:]
-                y = y - y.mean(axis=1, keepdims=True)
-                ysq = y**2
-                sum_sq_node += ysq.sum(axis=(0, 2))
-                sum_sq_traj += ysq.sum(axis=(0, 1))
-    return oracles._finish(sum_sq_node, sum_sq_traj, meas_steps, cfg)
+                oracles._measure(y, sum_sq, np.empty((len(y), n_traj)), np.empty_like(y))
+    return oracles._finish(sum_sq, meas_steps, cfg)
 
 
 def stepwise_simulate(gm, b, variances, cfg):

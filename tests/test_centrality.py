@@ -156,6 +156,18 @@ class TestPerformance:
         rho = performance(triangle, NoiseSpec(MEASUREMENT, np.ones(3)), 0.0)
         assert rho == pytest.approx(1.0, rel=1e-12)  # 3 edges x 1/3
 
+    @pytest.mark.parametrize("structure", [DYNAMICS, RECEIVER], ids=lambda s: s.name)
+    @pytest.mark.parametrize("graph", ["ex1_graph", "ring_chord100"])
+    def test_diagonal_input_equals_the_dense_product(self, graph, structure, request):
+        # Q^T scaled by diag(B) must be the dense Q^T B to the last bit.
+        gm = request.getfixturevalue(graph)
+        dec = gm.spectrum
+        tau = 0.7 * math.pi / (2 * dec.lambda_max)
+        var = np.random.default_rng(71).uniform(0.5, 2.0, gm.n)
+        modal = dec.eigenvectors.T @ input_matrix(gm, structure)
+        dense = float(0.5 * ((modal**2) @ var) @ centrality_kernel(dec, tau))
+        assert performance(gm, NoiseSpec(structure, var), tau) == dense
+
 
 class TestNodeCentrality:
     def test_k2_dynamics_zero_delay(self, k2):
@@ -350,6 +362,39 @@ class TestRandomGraphProperties:
         for structure in ALL_STRUCTURES:
             indices = np.array([r.indices for r in tau_sweep(gm, structure, taus).reports])
             assert (np.diff(indices, axis=0) > 0).all(), structure.name
+
+    @settings(deadline=None)
+    @given(g=connected_graphs(), f=delay_fractions)
+    def test_builtin_links_equal_their_custom_input(self, g, f):
+        gm = build_matrices(g)
+        tau = f * math.pi / (2 * gm.spectrum.lambda_max)
+        for structure in (COMM_CHANNEL, MEASUREMENT):
+            custom = NoiseStructure.custom(input_matrix(gm, structure), over="links")
+            np.testing.assert_allclose(
+                link_centrality(gm, custom, tau).indices,
+                link_centrality(gm, structure, tau).indices,
+                rtol=1e-12,
+                atol=0,
+                err_msg=structure.name,
+            )
+
+    @settings(deadline=None)
+    @given(g=connected_graphs(), alpha=st.floats(min_value=1e-3, max_value=1e3))
+    def test_zero_delay_scaling_exponents(self, g, alpha):
+        # Criterion 6: at tau = 0, scaling every weight by alpha scales each
+        # index by alpha^-1 or alpha and keeps every ranking.
+        gm = build_matrices(g)
+        exponents = {DYNAMICS: -1, MEASUREMENT: -1, SENSOR: 1, RECEIVER: 1, EMITTER: 1, COMM_CHANNEL: 1}
+        for structure, power in exponents.items():
+            sweep = scale_sweep(gm, structure, 0.0, [alpha])
+            assert sweep.matches_baseline == [True], structure.name
+            np.testing.assert_allclose(
+                sweep.reports[0].indices,
+                sweep.baseline.indices * alpha**power,
+                rtol=1e-9,
+                atol=0,
+                err_msg=structure.name,
+            )
 
 
 class TestMonotonicityAndPositivity:

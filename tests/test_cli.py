@@ -383,6 +383,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: horizon=0.0004 ") and "dt=0.001" in err
 
+    def test_negative_seed_exit_2(self, capsys):
+        # Streams are keyed on the seed as an unsigned 64-bit word, where -1
+        # would alias 2**64 - 1.
+        code = run([
+            "simulate", "--graph", str(FIXTURES / "k2.edges"), "--structure", "dynamics",
+            "--tau", "0", "--horizon", "0.01", "--seed", "-1",
+        ])
+        assert code == 2
+        assert "seed must lie in [0, 2**64), got -1" in capsys.readouterr().err
+
 
 class TestOneDecomposition:
     @pytest.mark.parametrize(

@@ -28,7 +28,9 @@ from delaycent import (
 from delaycent import oracles
 from delaycent.centrality import noise_channels
 
+import conftest
 from conftest import (
+    name_scopes,
     random_connected_graph,
     ring_chord_graph,
     stepwise_simulate,
@@ -98,6 +100,16 @@ class TestSimConfig:
             SimConfig(tau=0.0, burn_in=0.0)
         with pytest.raises(ValueError):
             SimConfig(tau=0.0, n_traj=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # Each would alias a seed in range: -1 as 2**64 - 1, 2**64 + 5 as 5.
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            SimConfig(tau=0.0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        assert SimConfig(tau=0.0, seed=seed).seed == seed
 
     @pytest.mark.parametrize("horizon", [4e-4, 5e-4])
     def test_horizon_must_exceed_half_a_step(self, horizon):
@@ -217,6 +229,67 @@ class TestOracleAgreementAllStructures:
             closed = performance(gm, NoiseSpec(structure), tau)
             assert abs(res.rho_hat - closed) <= 3.0 * res.std_err, structure.name
             assert res.std_err <= 0.05 * closed, structure.name
+
+
+class TestMeasure:
+    """``oracles._measure`` against ``math.fsum`` of explicit squared deviations."""
+
+    @staticmethod
+    def explicit(y):
+        """The (node, trajectory) table of ``sum_s (y[s,i,t] - mean_i y[s,i,t])^2``."""
+        k, n, n_traj = y.shape
+        table = np.empty((n, n_traj))
+        for t in range(n_traj):
+            means = [math.fsum(y[s, :, t]) / n for s in range(k)]
+            for i in range(n):
+                table[i, t] = math.fsum((y[s, i, t] - means[s]) ** 2 for s in range(k))
+        return table
+
+    @staticmethod
+    def measured(chunks, n, n_traj, capacity):
+        sum_sq = np.zeros((n, n_traj))
+        centres, scratch = np.empty((capacity, n_traj)), np.empty((capacity, n, n_traj))
+        for y in chunks:
+            oracles._measure(y, sum_sq, centres, scratch)
+        return sum_sq
+
+    def assert_totals(self, got, y):
+        want = self.explicit(y)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        for axis in (0, 1):
+            totals = [math.fsum(v) for v in np.moveaxis(want, axis, -1)]
+            np.testing.assert_allclose(got.sum(axis=axis), totals, rtol=1e-14, atol=0)
+
+    def test_single_trajectory(self):
+        y = np.random.default_rng(3).normal(1.0, 2.0, size=(37, 5, 1))
+        self.assert_totals(self.measured([y], 5, 1, 40), y)
+
+    def test_strided_position_view(self):
+        # Second-order states stack positions over velocities; only the
+        # positions are measured, through a view with the full row stride.
+        hist = np.random.default_rng(5).normal(size=(50, 8, 3))
+        y = hist[7:40, :4]
+        assert not y.flags.c_contiguous
+        self.assert_totals(self.measured([y], 4, 3, 33), y)
+
+    def test_two_chunks_add_up(self):
+        y = np.random.default_rng(7).normal(-0.5, 1.5, size=(45, 6, 4))
+        self.assert_totals(self.measured([y[:30], y[30:]], 6, 4, 30), y)
+
+    def test_trajectory_means_average_to_rho_hat(self, p3):
+        cfg = SimConfig(tau=0.02, dt=1e-3, burn_in=0.5, horizon=4.0, n_traj=5, seed=23)
+        res = simulate(p3, np.eye(3), np.array([1.0, 0.5, 2.0]), cfg)
+        assert float(np.mean(res.per_traj_mean)) == pytest.approx(res.rho_hat, rel=1e-13)
+
+    def test_squared_deviations_summed_only_in_the_helper(self):
+        # Both loops reach the step sums through _measure, so the stepwise
+        # oracle below checks the same measurement and only the stepping.
+        assert name_scopes(oracles.__file__, ["sum", "mean", "einsum"]) == [
+            "_finish", "_finish", "_finish", "_measure", "_measure",
+        ]
+        assert name_scopes(oracles.__file__, ["_measure"]) == ["_run_euler_maruyama"]
+        assert name_scopes(conftest.__file__, ["_measure"]) == ["stepwise_euler_maruyama"]
+        assert "stepwise_euler_maruyama" not in name_scopes(conftest.__file__, ["sum", "mean", "einsum"])
 
 
 class TestBlockedLoopMatchesStepwise:
