@@ -109,9 +109,9 @@ ALL_STRUCTURES = (DYNAMICS, SENSOR, RECEIVER, EMITTER, COMM_CHANNEL, MEASUREMENT
 
 
 def input_matrix(gm: GraphMatrices, structure: NoiseStructure) -> np.ndarray:
-    """The input matrix B mandated by the structure tag, built densely on
-    each call: the degree diagonal D, the adjacency D - L, or the incidence
-    E (+1 at the smaller endpoint of each edge, -1 at the larger)."""
+    """The dense input matrix B of the structure tag (D, D - L or the
+    incidence E: +1 at each edge's smaller endpoint, -1 at the larger), for
+    custom structures, the simulator and ``verify``; no built-in index uses it."""
     tag, g = structure.tag, gm.graph
     if tag is StructureTag.DYNAMICS:
         return np.eye(gm.n)
@@ -186,26 +186,13 @@ def centrality_kernel(dec: SpectralDecomposition, tau: float) -> np.ndarray:
 
 
 def performance(gm: GraphMatrices, spec: NoiseSpec, tau: float) -> float:
-    """Steady-state dispersion rho_ss for a connected, stable configuration.
-
-    Computed as ``(1/2) sum_k b_k K_k`` with ``b_k`` the modal noise power
-    ``[Q^T B diag(sigma^2) B^T Q]_kk`` of a dense B, independently of the
-    index contraction.  A diagonal B (dynamics I, receiver D) scales the
-    columns of ``Q^T`` instead, which is the same product bit for bit.
-    """
+    """Steady-state dispersion ``rho_ss = sigma^2 . eta`` (``sigma^2 . nu`` for
+    link noise) of a connected, stable configuration, with the indices of
+    :func:`centrality_report`; variances are checked before the delay."""
     var = spec.resolve_variances(gm)
     dec = gm.spectrum
     require_stable(dec, tau)
-    q_t, tag = dec.eigenvectors.T, spec.structure.tag
-    if tag is StructureTag.DYNAMICS:
-        modal = q_t
-    elif tag is StructureTag.RECEIVER:
-        modal = q_t * gm.degrees
-    else:
-        modal = q_t @ input_matrix(gm, spec.structure)
-    # Row-major like the dense product, so the modal sums run in one order.
-    power = np.square(modal, order="C")
-    return float(0.5 * (power @ var) @ centrality_kernel(dec, tau))
+    return float(_modal_power(gm, dec, spec.structure, [centrality_kernel(dec, tau)], 1.0)[0] @ var)
 
 
 # Edges per block of the link modal power: bounds its memory to block x n.
@@ -215,12 +202,14 @@ _EDGE_BLOCK = 256
 def _modal_power(
     gm: GraphMatrices, dec: SpectralDecomposition, structure: NoiseStructure, gs: list, alpha: float
 ) -> np.ndarray:
-    """``(Q^T B)^2 g`` over the nonzero modes for each vector g of kernel values
-    in ``gs``: one row per g, one column per noise channel, with every weight
-    scaled by ``alpha``.  Built-in structures need no dense B: column i of
-    ``Q^T B`` is row i of Q times 1, lam, d_i or d_i - lam (A = D - L), and a
-    built-in link column is ``q_i - q_j`` up to the channel scale, squared
-    ``_EDGE_BLOCK`` edges at a time with one product per g per block."""
+    """The indices ``(1/2) s^2 (Q^T B)^2 g`` over the nonzero modes for each
+    vector g of kernel values in ``gs``: one row per g, one column per noise
+    channel, with every weight scaled by ``alpha``.  The channel scale s is
+    ``alpha w_e`` for the communication channel and 1 otherwise.  Built-in
+    structures need no dense B: column i of ``Q^T B`` is row i of Q times 1,
+    lam, d_i or d_i - lam (A = D - L), and a built-in link column is
+    ``q_i - q_j`` up to s, squared ``_EDGE_BLOCK`` edges at a time with one
+    product per g per block."""
     q = dec.eigenvectors[:, dec.zero_mode_count :]
     gs = [g[dec.zero_mode_count :] for g in gs]
     tag = structure.tag
@@ -233,7 +222,8 @@ def _modal_power(
             d *= d
             for k, g in enumerate(gs):
                 out[k, rows] = d @ g
-        return out
+        s = alpha * gm.graph.w if tag is StructureTag.COMM_CHANNEL else 1.0
+        return 0.5 * s**2 * out
     lam = dec.nonzero_eigenvalues()
     degrees = alpha * gm.degrees[:, None]
     if tag is StructureTag.CUSTOM:
@@ -246,7 +236,7 @@ def _modal_power(
         power = (degrees * q) ** 2
     else:
         power = (q * (degrees - lam)) ** 2
-    return np.array([power @ g for g in gs])
+    return 0.5 * np.array([power @ g for g in gs])
 
 
 def _reports(
@@ -257,14 +247,9 @@ def _reports(
     alpha: float = 1.0,
 ) -> list[CentralityReport]:
     """Centrality at each delay from one decomposition ``dec`` of the graph
-    with every weight scaled by ``alpha``; all delays are checked first.
-    Every structure contracts ``(1/2) s^2 (Q^T B)^2 g`` with the kernel values
-    g of each delay; the channel scale s is ``alpha w_e`` for the
-    communication channel and 1 otherwise."""
+    with every weight scaled by ``alpha``; all delays are checked first."""
     infos = [require_stable(dec, t) for t in taus]
-    comm = structure.tag is StructureTag.COMM_CHANNEL
-    scale = 0.5 * (alpha * gm.graph.w) ** 2 if comm else 0.5
-    indices = scale * _modal_power(gm, dec, structure, [centrality_kernel(dec, t) for t in taus], alpha)
+    indices = _modal_power(gm, dec, structure, [centrality_kernel(dec, t) for t in taus], alpha)
     return [
         make_report(t, structure.name, x, info.tau_max, info.margin)
         for t, x, info in zip(taus, indices, infos)
@@ -316,7 +301,7 @@ def link_sensitivity(gm: GraphMatrices, structure: NoiseStructure, tau: float) -
         return (tau * lam - cos_x) * inv / lam**2 if dynamics else (tau * lam + cos_x) * inv
 
     # Measurement rows of (Q^T B)^2 are the bare (q_i - q_j)^2 of each edge.
-    return 0.5 * _modal_power(gm, dec, MEASUREMENT, [kernel(dec, g)], 1.0)[0]
+    return _modal_power(gm, dec, MEASUREMENT, [kernel(dec, g)], 1.0)[0]
 
 
 # Rows per block of the pairwise flip test: its boolean mask is block x m.
@@ -445,8 +430,7 @@ def adversarial_allocation(
 
     Under the budget ``sum sigma_i^2 = n`` the dispersion is maximized by
     putting all power on an agent of maximal centrality, so the worst value
-    is ``n * max_i eta_i``.  The returned allocation is verified against
-    :func:`performance` to 1e-10 relative.
+    is ``n * max_i eta_i``.
     """
     if not structure.indexes_nodes:
         raise ValueError(f"adversarial allocation needs an agent structure, got {structure.name}")
@@ -456,12 +440,6 @@ def adversarial_allocation(
     variances = np.zeros(n)
     variances[k] = float(n)
     worst_rho = float(n * report.indices[k])
-    check = performance(gm, NoiseSpec(structure, variances), tau)
-    if abs(check - worst_rho) > 1e-10 * max(abs(worst_rho), 1e-300):
-        raise ArithmeticError(
-            f"allocation self-check failed: n*max eta = {worst_rho!r}"
-            f" vs performance {check!r}"
-        )
     return AdversarialAllocation(variances=variances, worst_rho=worst_rho, node=k)
 
 

@@ -183,8 +183,8 @@ class GraphMatrices:
     """The Laplacian and the degree vector of one graph, both read-only.
 
     ``laplacian == diag(degrees) - A`` with ``A`` the weighted adjacency;
-    dense input matrices (incidence, degree diagonal, adjacency) are built
-    only on request, by :func:`delaycent.centrality.input_matrix`.
+    no index needs a dense input matrix B: only a custom B, the Monte Carlo
+    oracles and ``verify`` ask :func:`delaycent.centrality.input_matrix`.
     """
 
     graph: WeightedGraph

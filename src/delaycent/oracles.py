@@ -18,6 +18,7 @@ job is to disagree loudly if a formula is wrong.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
@@ -85,7 +86,8 @@ class SimConfig:
     for a delayed run, and the horizon must be longer than half a step.
     Trajectory ``t`` draws from a counter-based generator keyed by the pair
     ``(t, seed)``, so results are independent of trajectory scheduling and
-    distinct seeds give independent streams; the seed must lie in [0, 2**64).
+    distinct seeds give independent streams.  ``n_traj`` and ``seed`` must be
+    integers (kept as ``int``), the seed in [0, 2**64).
     """
 
     tau: float
@@ -108,6 +110,11 @@ class SimConfig:
                 f"horizon={self.horizon:.6g} measures no step of dt={self.dt:.6g};"
                 " need horizon > dt/2"
             )
+        for name in ("n_traj", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
         if not 0 <= self.seed < 2**64:

@@ -7,6 +7,7 @@ import pytest
 
 from delaycent import WeightedGraph, build_matrices, is_connected, oracles, parse_edge_list
 from delaycent import quadrature, secondorder
+from delaycent.centrality import centrality_kernel
 from delaycent.report import RANK_TOL_FACTOR
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -93,6 +94,19 @@ def reference_input_matrix(g, name):
         "comm-channel": lambda: ref["incidence"] * g.weights(),
         "measurement": lambda: -ref["incidence"],
     }[name]()
+
+
+def dense_performance(gm, structure, var, tau):
+    """The dispersion as ``(1/2) sum_k [Q^T B diag(sigma^2) B^T Q]_kk K_k``
+    with a dense B: :func:`reference_input_matrix` or the custom B.  The
+    oracle for ``performance`` and for ``rho = sigma^2 . eta``, independent
+    of the index contraction."""
+    dec = gm.spectrum
+    b = structure.custom_b
+    if b is None:
+        b = reference_input_matrix(gm.graph, structure.name)
+    power = (dec.eigenvectors.T @ b) ** 2
+    return float(0.5 * (power @ np.asarray(var, dtype=float)) @ centrality_kernel(dec, tau))
 
 
 def assemble(dec, values):

@@ -41,6 +41,7 @@ from conftest import (
     assemble,
     complete_graph,
     cycle_graph,
+    dense_performance,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -88,7 +89,7 @@ def test_criterion_02_decomposition_identity():
         for tau in (0.0, 0.4 * tau_max, 0.85 * tau_max):
             for structure in ALL_STRUCTURES:
                 var = rng.uniform(0.0, 2.0, noise_channels(gm, structure))
-                rho = performance(gm, NoiseSpec(structure, var), tau)
+                rho = dense_performance(gm, structure, var, tau)
                 rep = centrality_report(gm, structure, tau)
                 err = abs(rho - float(rep.indices @ var))
                 worst = max(worst, err / rho if rho else err)
@@ -96,7 +97,7 @@ def test_criterion_02_decomposition_identity():
     report(
         2,
         worst <= 1e-10 and elapsed < 10.0,
-        f"rho_ss = sum(index * sigma^2) on 20 graphs x 6 structures x 3 taus:"
+        f"dense rho_ss = sum(index * sigma^2) on 20 graphs x 6 structures x 3 taus:"
         f" worst rel err {worst:.2e} (tol 1e-10), {elapsed:.2f}s (< 10s)",
     )
 
@@ -298,7 +299,7 @@ def test_criterion_10_adversarial_allocation():
         result = adversarial_allocation(gm, DYNAMICS, tau)
         eta = node_centrality(gm, DYNAMICS, tau).indices
         expected = gm.n * float(eta.max())
-        check = performance(gm, NoiseSpec(DYNAMICS, result.variances), tau)
+        check = dense_performance(gm, DYNAMICS, result.variances, tau)
         worst = max(
             worst,
             abs(result.worst_rho - expected) / expected,
@@ -307,7 +308,7 @@ def test_criterion_10_adversarial_allocation():
     report(
         10,
         worst <= 1e-10,
-        f"worst-case rho = n * max eta = performance(sigma*) on 10 graphs:"
+        f"worst-case rho = n * max eta = dense rho(sigma*) on 10 graphs:"
         f" worst rel err {worst:.2e} (tol 1e-10)",
     )
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +45,11 @@ from conftest import (
     assemble,
     complete_graph,
     cycle_graph,
+    dense_performance,
     dense_reference,
     edge_quadratic_form,
     mp_first_order_maps,
+    name_scopes,
     random_connected_graph,
     ring_chord_graph,
     star_graph,
@@ -121,6 +124,18 @@ class TestInputMatrix:
         with pytest.raises(ValueError, match="columns"):
             input_matrix(p3, bad)
 
+    def test_dense_input_is_built_only_where_asked(self):
+        # No index path assembles B: only a custom B, the simulator and verify.
+        callers = []
+        for path in sorted(Path(centrality_module.__file__).parent.glob("*.py")):
+            callers += [f"{path.name}:{scope}" for scope in name_scopes(path, ["input_matrix"])]
+        assert callers == [
+            "centrality.py:_modal_power",
+            "cli.py:_cmd_simulate",
+            "cli.py:_cmd_verify",
+            "oracles.py:mc_node_centrality",
+        ]
+
     def test_from_name(self):
         assert NoiseStructure.from_name("comm-channel") == COMM_CHANNEL
         with pytest.raises(ValueError, match="unknown noise structure"):
@@ -156,17 +171,26 @@ class TestPerformance:
         rho = performance(triangle, NoiseSpec(MEASUREMENT, np.ones(3)), 0.0)
         assert rho == pytest.approx(1.0, rel=1e-12)  # 3 edges x 1/3
 
-    @pytest.mark.parametrize("structure", [DYNAMICS, RECEIVER], ids=lambda s: s.name)
+    @pytest.mark.parametrize("structure", ALL_STRUCTURES, ids=lambda s: s.name)
+    def test_single_node_has_zero_dispersion(self, structure):
+        # No nonzero mode, and for link noise no channel at all.
+        assert performance(build_matrices(parse_edge_list("n=1")), NoiseSpec(structure), 0.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "structure", [*ALL_STRUCTURES, "custom-nodes", "custom-links"], ids=lambda s: getattr(s, "name", s)
+    )
     @pytest.mark.parametrize("graph", ["ex1_graph", "ring_chord100"])
-    def test_diagonal_input_equals_the_dense_product(self, graph, structure, request):
-        # Q^T scaled by diag(B) must be the dense Q^T B to the last bit.
+    def test_equals_the_dense_oracle(self, graph, structure, request):
         gm = request.getfixturevalue(graph)
-        dec = gm.spectrum
-        tau = 0.7 * math.pi / (2 * dec.lambda_max)
-        var = np.random.default_rng(71).uniform(0.5, 2.0, gm.n)
-        modal = dec.eigenvectors.T @ input_matrix(gm, structure)
-        dense = float(0.5 * ((modal**2) @ var) @ centrality_kernel(dec, tau))
-        assert performance(gm, NoiseSpec(structure, var), tau) == dense
+        rng = np.random.default_rng(71)
+        if structure == "custom-nodes":
+            structure = NoiseStructure.custom(rng.normal(size=(gm.n, gm.n)), over="nodes")
+        elif structure == "custom-links":
+            structure = NoiseStructure.custom(rng.normal(size=(gm.n, gm.num_edges)), over="links")
+        tau = 0.7 * math.pi / (2 * gm.spectrum.lambda_max)
+        var = rng.uniform(0.5, 2.0, noise_channels(gm, structure))
+        rho = performance(gm, NoiseSpec(structure, var), tau)
+        np.testing.assert_allclose(rho, dense_performance(gm, structure, var, tau), rtol=1e-13, atol=0)
 
 
 class TestNodeCentrality:
@@ -293,7 +317,7 @@ class TestDecompositionIdentity:
             for tau in (0.0, 0.4 * tau_max, 0.85 * tau_max):
                 for structure in ALL_STRUCTURES:
                     var = rng.uniform(0.0, 2.0, noise_channels(gm, structure))
-                    rho = performance(gm, NoiseSpec(structure, var), tau)
+                    rho = dense_performance(gm, structure, var, tau)
                     rep = centrality_report(gm, structure, tau)
                     assert rho == pytest.approx(float(rep.indices @ var), rel=1e-10)
 
@@ -328,7 +352,7 @@ class TestRandomGraphProperties:
         tau = f * math.pi / (2 * gm.spectrum.lambda_max)
         m = noise_channels(gm, structure)
         var = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m)))
-        rho = performance(gm, NoiseSpec(structure, var), tau)
+        rho = dense_performance(gm, structure, var, tau)
         assert float(centrality_report(gm, structure, tau).indices @ var) == pytest.approx(
             rho, rel=1e-10
         )
@@ -348,6 +372,27 @@ class TestRandomGraphProperties:
         eta = node_centrality(gm, structure, tau).indices
         moved = node_centrality(build_matrices(relabelled), structure, tau).indices
         np.testing.assert_allclose(moved[perm], eta, rtol=1e-9)
+
+    @settings(deadline=None)
+    @given(
+        g=st.one_of(
+            connected_graphs(),
+            st.builds(star_graph, st.integers(3, 12), st.floats(0.1, 10.0)),
+            st.builds(cycle_graph, st.integers(3, 12), st.floats(0.1, 10.0)),
+        ),
+        structure=st.sampled_from(AGENT_STRUCTURES),
+        f=delay_fractions,
+        data=st.data(),
+    )
+    def test_relabelling_maps_tie_groups_onto_tie_groups(self, g, structure, f, data):
+        # Stars (the leaves) and cycles (every node) tie exactly by symmetry.
+        perm = data.draw(st.permutations(range(g.n)))
+        relabelled = WeightedGraph(n=g.n, edges=tuple((perm[i], perm[j], w) for i, j, w in g.edges))
+        gm = build_matrices(g)
+        tau = f * math.pi / (2 * gm.spectrum.lambda_max)
+        groups = node_centrality(gm, structure, tau).tie_groups
+        moved = node_centrality(build_matrices(relabelled), structure, tau).tie_groups
+        assert {frozenset(perm[k] for k in group) for group in groups} == set(map(frozenset, moved))
 
     @settings(deadline=None)
     @given(
@@ -549,6 +594,24 @@ class TestEdgeBlocks:
         tracemalloc.start()
         try:
             run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * block * gm.n * 8
+
+    @pytest.mark.parametrize("structure", [MEASUREMENT, COMM_CHANNEL], ids=lambda s: s.name)
+    def test_performance_peak_memory_is_a_few_edge_blocks(self, structure, monkeypatch):
+        # A dense n x m input matrix would take m n * 8 bytes, 50 block units
+        # here, and its modal product as much again.
+        block = 16
+        monkeypatch.setattr(centrality_module, "_EDGE_BLOCK", block)
+        gm = build_matrices(ring_chord_graph(200, 3))
+        spec = NoiseSpec(structure)
+        tau = 0.5 * math.pi / (2 * gm.spectrum.lambda_max)
+        performance(gm, spec, tau)  # outside the window, like the test above
+        tracemalloc.start()
+        try:
+            performance(gm, spec, tau)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

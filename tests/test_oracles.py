@@ -111,6 +111,21 @@ class TestSimConfig:
     def test_seed_range_ends_accepted(self, seed):
         assert SimConfig(tau=0.0, seed=seed).seed == seed
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("n_traj", 2.5), ("seed", np.float64(3.0)), ("n_traj", np.float64(3.0))],
+    )
+    def test_non_integer_counts_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(tau=0.0, **{field: value})
+
+    @pytest.mark.parametrize("value", [7, np.int64(7)])
+    def test_integer_counts_kept_as_int(self, p3, value):
+        cfg = SimConfig(tau=0.0, dt=5e-3, burn_in=1.0, horizon=1.0, n_traj=value, seed=value)
+        assert (cfg.seed, cfg.n_traj) == (7, 7) and type(cfg.seed) is type(cfg.n_traj) is int
+        # A numpy seed would overflow the generator key (t << 64) | seed.
+        assert simulate(p3, np.eye(3), np.ones(3), cfg).config.seed == 7
+
     @pytest.mark.parametrize("horizon", [4e-4, 5e-4])
     def test_horizon_must_exceed_half_a_step(self, horizon):
         # round(horizon / dt) measured steps: none at or under half a step.
