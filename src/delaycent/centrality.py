@@ -66,6 +66,8 @@ class NoiseStructure:
                 raise ValueError(
                     "custom structure needs an input matrix and custom_over in {'nodes', 'links'}"
                 )
+            if np.ndim(self.custom_b) != 2:
+                raise ValueError(f"custom input matrix must be 2-D, got shape {np.shape(self.custom_b)}")
         elif self.custom_b is not None or self.custom_over is not None:
             raise ValueError("custom_b/custom_over are only valid with the CUSTOM tag")
 
@@ -126,7 +128,7 @@ def input_matrix(gm: GraphMatrices, structure: NoiseStructure) -> np.ndarray:
         b[g.i, e], b[g.j, e] = 1.0, -1.0
         return np.multiply(b, g.w, out=b) if tag is StructureTag.COMM_CHANNEL else np.negative(b, out=b)
     b = np.asarray(structure.custom_b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != gm.n:
+    if b.shape[0] != gm.n:
         raise ValueError(f"custom input matrix must have {gm.n} rows, got shape {b.shape}")
     if structure.custom_over == "links" and b.shape[1] != gm.num_edges:
         raise ValueError(

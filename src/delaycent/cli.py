@@ -74,9 +74,10 @@ def _json_floats(items: list | tuple) -> list[str]:
     return texts
 
 
-# Rows of a 2-D int array formatted at a time: a flip-log block of 1024
-# rows is about 44 KB of text, so no piece of a streamed report comes near
-# the 128 KiB at which glibc's allocator maps fresh pages for a temporary.
+# Rows of a 2-D int array written at a time: a flip-log block of 1024
+# rows is about 44 KB of text and 24 KB of gathered cell texts, so no piece
+# of a streamed report comes near the 128 KiB at which glibc's allocator
+# maps fresh pages for a temporary.
 _ROW_BLOCK = 1024
 
 
@@ -87,7 +88,10 @@ def _json_parts(obj: Any, nl: str):
     lists, and dict keys must be strings.  ``nl`` is the newline plus the
     indentation of the line ``obj`` starts on.  Flat lists of floats or of
     ints are one piece each; 2-D int arrays (rank flips, link pairs) come
-    ``_ROW_BLOCK`` rows to a piece, through one ``%d`` row template."""
+    ``_ROW_BLOCK`` rows to a piece.  Where an array's values span fewer
+    integers than it has rows, each column's texts come from a table made
+    once per array; otherwise, as for sparse raw ids, from a ``%d`` row
+    template."""
     if isinstance(obj, str):
         yield _json_str(obj)
     elif isinstance(obj, bool):
@@ -110,12 +114,32 @@ def _json_parts(obj: Any, nl: str):
         yield nl + "}"
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size and np.issubdtype(obj.dtype, np.integer):
         inner, cell = nl + "  ", nl + "    "
-        row = "[" + cell + ("," + cell).join(["%d"] * obj.shape[1]) + inner + "]"
+        (n_rows, n_cols), lo, hi = obj.shape, int(obj.min()), int(obj.max())
+        dense = hi - lo < n_rows
+        if dense:
+            # Dense values (flip logs, link ends): one text per column and value,
+            # brackets and separators included; column c's texts sit at c * span.
+            # Offsets are int64 (uint64 for unsigned input), where a sum that
+            # wraps lands back on the exact index; "clip" only skips a buffer.
+            span, wide = hi - lo + 1, np.uint64 if obj.dtype.kind == "u" else np.int64
+            heads = ["[" + cell] + ["," + cell] * (n_cols - 1)
+            tails = [""] * (n_cols - 1) + [inner + "]," + inner]
+            texts = [h + str(v) + t for h, t in zip(heads, tails) for v in range(lo, hi + 1)]
+            table = np.array(texts, dtype=object)
+            shift = np.arange(n_cols, dtype=wide) * wide(span) - wide(lo)
+            gathered = np.empty(min(n_rows, _ROW_BLOCK) * n_cols, dtype=object)
+        else:
+            row = "[" + cell + ("," + cell).join(["%d"] * n_cols) + inner + "]"
         sep = "["
-        for start in range(0, obj.shape[0], _ROW_BLOCK):
+        for start in range(0, n_rows, _ROW_BLOCK):
             block = obj[start : start + _ROW_BLOCK]
-            rows = ("," + inner).join([row] * block.shape[0])
-            yield sep + inner + rows % tuple(block.ravel().tolist())
+            if dense:
+                picks = gathered[: block.size]
+                np.take(table, (block + shift).ravel(), out=picks, mode="clip")
+                text = "".join(picks.tolist())[: -len(inner) - 1]  # less the last "," + inner
+            else:
+                text = ("," + inner).join([row] * len(block)) % tuple(block.ravel().tolist())
+            yield sep + inner + text
             sep = ","
         yield nl + "]"
     else:

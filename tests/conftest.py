@@ -163,6 +163,23 @@ def name_scopes(path, names):
     return visitor.found
 
 
+class _TextScopes(_NameScopes):
+    """The dotted scope of every string literal that holds one of ``names``."""
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and any(text in node.value for text in self.names):
+            self.found.append(".".join(self.scope))
+
+
+def text_scopes(path, fragments):
+    """The dotted scope of every string literal (docstrings and f-string
+    parts included) in the module at ``path`` that holds one of
+    ``fragments``, in source order."""
+    visitor = _TextScopes(set(fragments))
+    visitor.visit(ast.parse(Path(path).read_text()))
+    return visitor.found
+
+
 def centering_matrix(n):
     """I - (1/n) * ones; projects out the network average."""
     return np.eye(n) - np.full((n, n), 1.0 / n)

@@ -19,6 +19,7 @@ from delaycent import (
     NoiseSpec,
     NoiseStructure,
     StabilityError,
+    StructureTag,
     WeightedGraph,
     adversarial_allocation,
     build_matrices,
@@ -123,6 +124,29 @@ class TestInputMatrix:
         bad = NoiseStructure.custom(np.ones((3, 5)), over="links")
         with pytest.raises(ValueError, match="columns"):
             input_matrix(p3, bad)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3, 1)])
+    @pytest.mark.parametrize("over", ["nodes", "links"])
+    def test_custom_input_must_be_a_matrix(self, shape, over):
+        with pytest.raises(ValueError, match="2-D"):
+            NoiseStructure.custom(np.ones(shape), over=over)
+        with pytest.raises(ValueError, match="2-D"):
+            NoiseStructure(StructureTag.CUSTOM, custom_b=np.ones(shape).tolist(), custom_over=over)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda gm, s: performance(gm, NoiseSpec(s()), 0.1),
+            lambda gm, s: NoiseSpec(s()).resolve_variances(gm),
+            lambda gm, s: node_centrality(gm, s(), 0.1),
+        ],
+        ids=["performance", "resolve_variances", "node_centrality"],
+    )
+    def test_vector_custom_input_is_a_value_error_everywhere(self, p3, entry):
+        # A 1-D B used to reach shape[1] in performance and resolve_variances
+        # and raise a bare IndexError there; all three now get the same refusal.
+        with pytest.raises(ValueError, match="2-D"):
+            entry(p3, lambda: NoiseStructure.custom(np.ones(3), over="nodes"))
 
     def test_dense_input_is_built_only_where_asked(self):
         # No index path assembles B: only a custom B, the simulator and verify.

@@ -8,6 +8,7 @@ float rounded to 12 significant digits by a recursive copy, then
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from delaycent import MEASUREMENT, build_matrices, tau_sweep
 from delaycent import cli
 from delaycent.cli import _to_json, run
 
-from conftest import ring_chord_graph
+from conftest import name_scopes, ring_chord_graph, text_scopes
 
 
 def _jsonable(obj):
@@ -247,6 +248,72 @@ def test_int_rows_in_small_blocks_match_oracle(rows):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_ROW_BLOCK", 4)
         assert _to_json(payload) == oracle(payload)
+
+
+def _dense_rows(dtype):
+    # Rows whose values span fewer integers than there are rows, from lo up:
+    # the writer's table path, down to the type's ends.
+    info = np.iinfo(dtype)
+    shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9)
+
+    def at(shape):
+        top = info.max - shape[0] + 1
+        los = st.one_of(st.sampled_from([int(info.min), int(top)]), st.integers(int(info.min), int(top)))
+        return los.flatmap(lambda lo: hnp.arrays(dtype, shape, elements=st.integers(lo, lo + shape[0] - 1)))
+
+    return shapes.flatmap(at)
+
+
+dense_rows = st.sampled_from([np.int8, np.int16, np.int64, np.uint8, np.uint64]).flatmap(_dense_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_rows)
+def test_dense_int_rows_in_small_blocks_match_oracle(rows):
+    payload = {"rows": [rows, rows[::-1]]}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_ROW_BLOCK", 4)
+        assert _to_json(payload) == oracle(payload)
+
+
+@pytest.mark.parametrize(
+    "rows, table",
+    [
+        # Offsets past the type's range: the int8 rows -100 and 100.
+        (np.array([[-100, 100]] * 201, dtype=np.int8), True),
+        (np.arange(-100, 101, dtype=np.int8)[:, None], True),
+        # hi - lo = rows - 1 takes the table, hi - lo = rows the template.
+        (np.array([[0, 6], [3, 1], [2, 4], [5, 0], [6, 6], [1, 2], [4, 3]]), True),
+        (np.array([[0, 7], [3, 1], [2, 4], [5, 0], [7, 7], [1, 2], [4, 3]]), False),
+        (np.array([[-(2**63)], [-(2**63) + 4], [-(2**63) + 2], [-(2**63)], [-(2**63) + 1]]), True),
+        (np.array([[2**64 - 1], [2**64 - 6], [2**64 - 2], [2**64 - 3], [2**64 - 4]], dtype=np.uint64), False),
+        (np.array([[2**64 - 1], [2**64 - 5], [2**64 - 2], [2**64 - 3], [2**64 - 4]], dtype=np.uint64), True),
+        # One row: only equal values are dense.
+        (np.array([[7]], dtype=np.uint8), True),
+        (np.array([[3, 3, 3]], dtype=np.int16), True),
+        (np.array([[1, 2, 3]], dtype=np.int16), False),
+        # Sparse raw ids, as a remapped flip log has them.
+        (10**12 + 7 * np.array([[0, 3, 1], [1, 2, 3], [2, 0, 4]]), False),
+    ],
+)
+def test_int_rows_take_the_table_only_when_dense(rows, table, monkeypatch):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 4)
+    takes = []
+    take = np.take
+    monkeypatch.setattr(np, "take", lambda *args, **kwargs: takes.append(1) or take(*args, **kwargs))
+    payload = {"rows": rows}
+    assert _to_json(payload) == oracle(payload)
+    assert bool(takes) == table
+
+
+def test_int_row_text_is_built_only_in_the_writer():
+    # The %d row template and the per-column tables live in one place.
+    scopes = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        scopes += [f"{path.name}:{scope}" for scope in text_scopes(path, ["%d"])]
+    assert set(scopes) == {"cli.py:_json_parts"}
+    assert set(text_scopes(cli.__file__, ["],"])) == {"_json_parts"}
+    assert set(name_scopes(cli.__file__, ["_ROW_BLOCK"])) == {"", "_json_parts"}
 
 
 def _ring_sweep_argv(tmp_path, n):
