@@ -60,6 +60,7 @@ from .secondorder import (
 )
 from .spectral import (
     DisconnectedGraphError,
+    IllConditionedGraphError,
     SpectralDecomposition,
     SpectralError,
     StabilityError,

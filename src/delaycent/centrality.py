@@ -197,8 +197,18 @@ def performance(gm: GraphMatrices, spec: NoiseSpec, tau: float) -> float:
     return float(_modal_power(gm, dec, spec.structure, [centrality_kernel(dec, tau)], 1.0)[0] @ var)
 
 
-# Edges per block of the link modal power: bounds its memory to block x n.
-_EDGE_BLOCK = 256
+# Bytes per gathered block of the link modal power: under glibc's initial
+# 128 KiB mmap threshold, so a block is heap memory, not a fresh mapping.
+_EDGE_BLOCK_BYTES = 120_000
+
+
+def _edge_rows(modes: int) -> int:
+    """Edges per block of the link modal power: as many as keep ``modes``
+    doubles per edge within ``_EDGE_BLOCK_BYTES``, at least one, and a
+    multiple of 4 where that fits (OpenBLAS ``gemv`` takes rows in fours, so
+    then the indices do not depend on the block size down to the last bit)."""
+    rows = _EDGE_BLOCK_BYTES // (8 * max(modes, 1))
+    return rows - rows % 4 if rows >= 4 else max(rows, 1)
 
 
 def _modal_power(
@@ -210,15 +220,16 @@ def _modal_power(
     ``alpha w_e`` for the communication channel and 1 otherwise.  Built-in
     structures need no dense B: column i of ``Q^T B`` is row i of Q times 1,
     lam, d_i or d_i - lam (A = D - L), and a built-in link column is
-    ``q_i - q_j`` up to s, squared ``_EDGE_BLOCK`` edges at a time with one
-    product per g per block."""
+    ``q_i - q_j`` up to s, squared :func:`_edge_rows` edges at a time (each
+    gather under 128 KiB) with one product per g per block."""
     q = dec.eigenvectors[:, dec.zero_mode_count :]
     gs = [g[dec.zero_mode_count :] for g in gs]
     tag = structure.tag
     if tag in _LINK_TAGS:
         out = np.empty((len(gs), gm.num_edges))
-        for start in range(0, gm.num_edges, _EDGE_BLOCK):
-            rows = slice(start, start + _EDGE_BLOCK)
+        block = _edge_rows(q.shape[1])
+        for start in range(0, gm.num_edges, block):
+            rows = slice(start, start + block)
             d = q[gm.graph.i[rows]]
             d -= q[gm.graph.j[rows]]
             d *= d

@@ -320,7 +320,7 @@ def _fields(payload: dict, header: list):
 
 
 def _cmd_stability(args, gm, id_map):
-    info = stability_margin(gm.spectrum, args.tau)
+    info = stability_margin(gm.eigenvalue_spectrum, args.tau)
     payload = {
         "tau": args.tau,
         "tau_max": info.tau_max,

@@ -4,14 +4,15 @@ A :class:`WeightedGraph` is the single source of truth for everything
 downstream: its canonical edge arrays define link indexing for every report
 in the package, and :func:`build_matrices` derives the Laplacian and the
 degrees from them.  A :class:`GraphMatrices` holds the one
-eigendecomposition of its Laplacian that every index is computed from.
+eigendecomposition of its Laplacian that every index is computed from, and
+computes no eigenvector where only eigenvalues are read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable
 
 import numpy as np
@@ -185,6 +186,9 @@ class GraphMatrices:
     ``laplacian == diag(degrees) - A`` with ``A`` the weighted adjacency;
     no index needs a dense input matrix B: only a custom B, the Monte Carlo
     oracles and ``verify`` ask :func:`delaycent.centrality.input_matrix`.
+    The eigendecomposition is cached once per graph: :attr:`spectrum` with
+    eigenvectors for the indices, :attr:`eigenvalue_spectrum` without them
+    where none is read.
     """
 
     graph: WeightedGraph
@@ -201,9 +205,25 @@ class GraphMatrices:
 
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
-        """The Laplacian's eigendecomposition, computed on first access; a
-        disconnected graph raises :class:`DisconnectedGraphError` on every one."""
-        return decompose(self.laplacian, require_connected=True)
+        """The Laplacian's eigendecomposition, computed on first access."""
+        return self._decompose(vectors=True)
+
+    @cached_property
+    def eigenvalue_spectrum(self) -> SpectralDecomposition:
+        """:attr:`spectrum` if it is already computed, else the Laplacian's
+        eigenvalues alone (``eigenvectors`` None): the route of callers that
+        read no eigenvector, such as the stability boundary."""
+        if "spectrum" in self.__dict__:
+            return self.spectrum
+        return self._decompose(vectors=False)
+
+    def _decompose(self, vectors: bool) -> SpectralDecomposition:
+        """The one solve and failure path of both routes: without exactly one
+        zero mode, :func:`is_connected` (O(m)) decides between
+        :class:`DisconnectedGraphError` and :class:`IllConditionedGraphError`,
+        raised on every access."""
+        connected = partial(is_connected, self.graph)
+        return decompose(self.laplacian, require_connected=True, vectors=vectors, connected=connected)
 
 
 def build_matrices(g: WeightedGraph) -> GraphMatrices:

@@ -229,7 +229,7 @@ def simulate(
     if b.ndim != 2 or b.shape[0] != n:
         raise ValueError(f"input matrix must have {n} rows, got shape {b.shape}")
     variances = check_variances(variances, b.shape[1])
-    require_stable(gm.spectrum, max(cfg.tau, cfg.tau_snapped))
+    require_stable(gm.eigenvalue_spectrum, max(cfg.tau, cfg.tau_snapped))
 
     b_sigma = b * np.sqrt(variances)[None, :]
     # (steps, channels, traj) white increments -> per-state forcing
@@ -253,7 +253,7 @@ def simulate_second_order(
     lap = gm.laplacian
     n = gm.n
     variances = check_variances(variances, n)
-    lam_max = gm.spectrum.lambda_max
+    lam_max = gm.eigenvalue_spectrum.lambda_max
     tau_c = critical_delay(lam_max, b_gain) if lam_max > 0 else math.inf
     tau = max(cfg.tau, cfg.tau_snapped)
     if tau >= tau_c:

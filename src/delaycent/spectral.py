@@ -33,6 +33,10 @@ class DisconnectedGraphError(SpectralError):
     """Operation requires a connected graph (exactly one zero mode)."""
 
 
+class IllConditionedGraphError(DisconnectedGraphError):
+    """The graph is connected, but its lambda_2 falls under the zero-mode resolution."""
+
+
 class StabilityError(ValueError):
     """Requested delay is at or beyond the stability boundary."""
 
@@ -47,14 +51,15 @@ class StabilityError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenpairs of a symmetric PSD matrix, eigenvalues ascending.
+    """Eigenvalues of a symmetric PSD matrix, ascending, and their
+    eigenvectors as columns (None when only the eigenvalues were computed).
 
     Eigenvalues within ``ZERO_REL_TOL * max(1, lambda_max)`` of zero are
     clamped to exactly 0 and counted in ``zero_mode_count``.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     zero_mode_count: int
 
     @property
@@ -69,20 +74,32 @@ class SpectralDecomposition:
         return self.eigenvalues[self.zero_mode_count :]
 
 
-def decompose(matrix: np.ndarray, require_connected: bool = False) -> SpectralDecomposition:
+def decompose(
+    matrix: np.ndarray,
+    require_connected: bool = False,
+    vectors: bool = True,
+    connected: Callable[[], bool] | None = None,
+) -> SpectralDecomposition:
     """Symmetric eigendecomposition with zero-mode clamping.
 
     Rejects matrices with asymmetry above 1e-10 or eigenvalues below the
-    (relative) PSD tolerance.  With ``require_connected`` the decomposition
-    must have exactly one zero mode.
+    (relative) PSD tolerance.  Without ``vectors`` only the eigenvalues are
+    computed (``eigvalsh``), with the same checks.  With ``require_connected``
+    the decomposition must have exactly one zero mode; ``connected``, a test
+    of the graph's connectivity run only when it has not, sorts the failure
+    into :class:`DisconnectedGraphError` and :class:`IllConditionedGraphError`.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise SpectralError(f"expected a square matrix, got shape {matrix.shape}")
-    asym = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
-    if asym > 1e-10:
-        raise SpectralError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    if not np.array_equal(matrix, matrix.T):
+        asym = float(np.max(np.abs(matrix - matrix.T)))
+        if asym > 1e-10:
+            raise SpectralError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    if vectors:
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    else:
+        eigenvalues, eigenvectors = np.linalg.eigvalsh(matrix), None
     lam_max = max(float(eigenvalues[-1]), 0.0)
     tol = ZERO_REL_TOL * max(1.0, lam_max)
     if eigenvalues[0] < -tol:
@@ -95,12 +112,17 @@ def decompose(matrix: np.ndarray, require_connected: bool = False) -> SpectralDe
         eigenvalues=clamped, eigenvectors=eigenvectors, zero_mode_count=zero_modes
     )
     if require_connected and zero_modes != 1:
+        error, cause = DisconnectedGraphError, "graph is disconnected"
+        if connected is None:
+            cause += " or too weakly connected to resolve"
+        elif connected():
+            error = IllConditionedGraphError
+            cause = "graph is connected, but lambda_2 falls under the zero-mode resolution"
         lam2 = float(eigenvalues[min(1, dec.n - 1)])
-        raise DisconnectedGraphError(
-            f"expected exactly one zero mode, found {zero_modes}: graph is disconnected"
-            f" or too weakly connected to resolve (raw lambda_2 = {lam2:.3e},"
-            f" lambda_max = {lam_max:.6g}; eigenvalues under ZERO_REL_TOL * max(1,"
-            f" lambda_max) = {tol:.3e} count as zero)"
+        raise error(
+            f"expected exactly one zero mode, found {zero_modes}: {cause}"
+            f" (raw lambda_2 = {lam2:.3e}, lambda_max = {lam_max:.6g}; eigenvalues under"
+            f" ZERO_REL_TOL * max(1, lambda_max) = {tol:.3e} count as zero)"
         )
     return dec
 

@@ -419,7 +419,8 @@ def shared_neighbors():
 
 @pytest.fixture
 def ring_chord100():
-    """m = 400 edges: one full 256-edge block of the link contraction and a partial one."""
+    """m = 400 edges: full blocks of the link contraction (148 edges each at
+    n = 100) and a partial one."""
     return build_matrices(ring_chord_graph(100, 5))
 
 

@@ -578,11 +578,12 @@ SENSITIVITY_MAPS = {
 
 class TestEdgeBlocks:
     """Link indices and sensitivities contract ``(q_i - q_j)^2`` over blocks of
-    edges; ``ring_chord100`` spans a full block and a partial one."""
+    edges, sized in bytes; ``ring_chord100`` spans full blocks and a partial one."""
 
     def test_link_centrality_matches_dense_kernel(self, ring_chord100):
         gm = ring_chord100
-        assert centrality_module._EDGE_BLOCK < gm.num_edges < 2 * centrality_module._EDGE_BLOCK
+        rows = centrality_module._edge_rows(gm.n - 1)
+        assert rows < gm.num_edges and gm.num_edges % rows
         dec = decompose(gm.laplacian, require_connected=True)
         tau = 0.6 * math.pi / (2 * dec.lambda_max)
         forms = dense_edge_forms(gm, dec, centrality_kernel(dec, tau))
@@ -601,12 +602,41 @@ class TestEdgeBlocks:
         kappa = link_sensitivity(gm, structure, tau)
         np.testing.assert_allclose(kappa, ref, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n", [2, 100, 1000, 3000, 20000])
+    def test_budget_rule_keeps_a_block_under_the_mmap_threshold(self, n):
+        # Arithmetic only: a block of rows x (n - 1) doubles stays under glibc's
+        # initial 128 KiB mmap threshold, unless one row alone is over it.
+        modes = n - 1
+        rows = centrality_module._edge_rows(modes)
+        assert rows >= 1 and (rows < 4 or rows % 4 == 0)
+        if 8 * modes < 128 * 1024:
+            assert rows * 8 * modes < 128 * 1024
+        else:
+            assert rows == 1
+
+    @pytest.mark.parametrize("n, seed", [(100, 5), (300, 1)])
+    def test_block_size_does_not_move_the_indices(self, n, seed, monkeypatch):
+        # (100, 5) is the ring_chord100 fixture.
+        gm = build_matrices(ring_chord_graph(n, seed))
+        tau = 0.5 * math.pi / (2 * gm.spectrum.lambda_max)
+
+        def run():
+            links = [link_centrality(gm, s, tau).indices for s in (MEASUREMENT, COMM_CHANNEL)]
+            return links + [link_sensitivity(gm, s, tau) for s in (DYNAMICS, SENSOR)]
+
+        ref = run()
+        assert centrality_module._edge_rows(gm.n - 1) not in (1, 7)
+        for rows in (1, 7):
+            monkeypatch.setattr(centrality_module, "_edge_rows", lambda modes, rows=rows: rows)
+            for got, want in zip(run(), ref):
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("structure", [MEASUREMENT, COMM_CHANNEL, DYNAMICS, SENSOR])
     def test_peak_memory_is_a_few_edge_blocks(self, structure, monkeypatch):
         # In the style of the GraphMatrices byte guard: an n x n kernel would
         # take 2 n^2 * 8 bytes, 25 block units here.
         block = 16
-        monkeypatch.setattr(centrality_module, "_EDGE_BLOCK", block)
+        monkeypatch.setattr(centrality_module, "_edge_rows", lambda modes: block)
         gm = build_matrices(ring_chord_graph(200, 3))
         dec = decompose(gm.laplacian, require_connected=True)
         tau = 0.5 * math.pi / (2 * dec.lambda_max)
@@ -628,7 +658,7 @@ class TestEdgeBlocks:
         # A dense n x m input matrix would take m n * 8 bytes, 50 block units
         # here, and its modal product as much again.
         block = 16
-        monkeypatch.setattr(centrality_module, "_EDGE_BLOCK", block)
+        monkeypatch.setattr(centrality_module, "_edge_rows", lambda modes: block)
         gm = build_matrices(ring_chord_graph(200, 3))
         spec = NoiseSpec(structure)
         tau = 0.5 * math.pi / (2 * gm.spectrum.lambda_max)

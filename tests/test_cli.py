@@ -242,7 +242,7 @@ class TestExitCodes:
             "centrality", "--graph", str(two), "--structure", "dynamics", "--tau", "0"
         )
         assert code == 3
-        assert "disconnected" in err
+        assert "found 2: graph is disconnected (raw lambda_2 = " in err
 
     def test_weakly_connected_exit_3_names_resolution(self, tmp_path):
         # Connected, but lambda_2 ~ 5e-11 falls under the zero-mode resolution.
@@ -255,7 +255,8 @@ class TestExitCodes:
             "centrality", "--graph", str(weak), "--structure", "dynamics", "--tau", "0"
         )
         assert code == 3
-        assert "disconnected or too weakly connected to resolve" in err
+        assert "graph is connected, but lambda_2 falls under the zero-mode resolution" in err
+        assert "disconnected" not in err
         assert "raw lambda_2 = " in err and "lambda_max = " in err and "ZERO_REL_TOL" in err
 
     def test_numeric_failure_exit_4(self, tmp_path):

@@ -52,6 +52,25 @@ class TestDecompose:
         with pytest.raises(SpectralError, match="symmetric"):
             decompose(m)
 
+    def test_asymmetry_within_tolerance_is_accepted(self, p3):
+        # Unequal to its transpose, so the asymmetry is measured: 1e-12 passes, 1e-9 fails.
+        near, far = p3.laplacian.copy(), p3.laplacian.copy()
+        near[0, 1] += 1e-12
+        far[0, 1] += 1e-9
+        np.testing.assert_allclose(decompose(near).eigenvalues, [0.0, 1.0, 3.0], atol=1e-9)
+        with pytest.raises(SpectralError, match=r"max asymmetry 1\.000e-09"):
+            decompose(far)
+
+    @pytest.mark.parametrize("require_connected", [False, True])
+    def test_eigenvalues_only_matches_full(self, require_connected):
+        rng = np.random.default_rng(12)
+        gm = build_matrices(random_connected_graph(rng, 9))
+        full = decompose(gm.laplacian, require_connected=require_connected)
+        values = decompose(gm.laplacian, require_connected=require_connected, vectors=False)
+        assert values.eigenvectors is None
+        assert values.zero_mode_count == full.zero_mode_count == 1
+        np.testing.assert_allclose(values.eigenvalues, full.eigenvalues, rtol=1e-12, atol=1e-12)
+
     def test_rejects_indefinite(self):
         with pytest.raises(SpectralError, match="semidefinite"):
             decompose(np.diag([-1.0, 1.0]))
