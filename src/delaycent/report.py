@@ -42,7 +42,8 @@ class CentralityReport:
     ``tau_max``/``margin`` describe the first-order stability region; they
     are None for second-order reports, whose boundary is checked but not
     reported.  ``extras`` carries structure-specific fields (for the
-    second-order report: the velocity gain and quadrature tolerance).
+    second-order report: the velocity gain and the absolute accuracy
+    ``quad_tol`` each mode's value met).
     """
 
     tau: float

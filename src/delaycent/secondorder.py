@@ -3,57 +3,48 @@
 Each agent carries a position and a velocity; positions integrate
 velocities and velocities run delayed Laplacian feedback on both, with
 gain ``b`` on the velocity coupling and white noise on the velocity
-equation.  Per-mode steady-state position variance is a frequency integral
-with no closed form for ``tau > 0``, so the node indices are assembled
-from adaptive quadrature (``1 / (2 b lam^2)`` at ``tau = 0``, a self-check).
-Stability is closed form: mode ``lam`` crosses the imaginary axis at delay
-``tau_c(lam)`` and frequency ``omega_c(lam)``, the only place the kernel can vanish.
+equation.  The steady-state position variance of one mode is the squared
+H2 norm of a two-state delay system, ``B^T U(0) B`` with ``U`` its delay
+Lyapunov matrix (Jarlebring, Vanbiervliet & Michiels, IEEE TAC 56(4),
+2011): one 8x8 matrix exponential and one 8x8 solve per mode, batched over
+the modes (``1 / (2 b lam^2)`` at ``tau = 0``, a self-check).  Stability is
+closed form: mode ``lam`` crosses the imaginary axis at delay
+``tau_c(lam)`` and frequency ``omega_c(lam)``; there the solve is singular.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import GraphMatrices
-from .quadrature import QuadratureError, integrate_rows
 from .report import CentralityReport, make_report
 from .spectral import StabilityError, check_delay, check_positive
 
 SECOND_ORDER_TAG = "second-order-dynamics"
 
-# Factor by which the truncation frequency grows until the analytic
-# ~1/omega^4 tail bound passes.
-_OMEGA_GROWTH = 2.0
-# Past this truncation frequency h <= 3 omega^4 could overflow a double.
-_OMEGA_LIMIT = 0.5 * np.finfo(float).max ** 0.25
-
 
 class SecondOrderStabilityError(RuntimeError):
-    """Denominator kernel nearly vanishes: marginal or unstable configuration."""
+    """A mode's value cannot meet ``quad_tol``: marginal or ill-conditioned configuration."""
 
 
 @dataclass(frozen=True)
 class SecondOrderConfig:
     """Second-order evaluation parameters.
 
-    ``quad_tol`` is the absolute accuracy of each frequency integral;
-    ``panel_budget`` caps adaptive refinement.
+    ``quad_tol`` is the absolute accuracy asked of each mode's value; a mode
+    whose error estimate exceeds it is refused.
     """
 
     b: float
     tau: float = 0.0
     quad_tol: float = 1e-9
-    panel_budget: int = 65536
 
     def __post_init__(self) -> None:
         check_positive(self.b, "velocity gain b")
         check_delay(self.tau)
-        check_positive(self.quad_tol, "quadrature tolerance quad_tol")
-        if self.panel_budget < 4:
-            raise ValueError("panel_budget must be >= 4")
+        check_positive(self.quad_tol, "per-mode accuracy quad_tol")
 
 
 def h_kernel(lam: float, tau: float, b: float, omega) -> np.ndarray | float:
@@ -64,22 +55,6 @@ def h_kernel(lam: float, tau: float, b: float, omega) -> np.ndarray | float:
         b * lam - omega * np.sin(omega * tau)
     ) ** 2
     return value if value.ndim else float(value)
-
-
-def _truncation_frequency(lam: float, tau: float, b: float, tol: float) -> float:
-    """Smallest cutoff on a doubling ladder with a certified tail below ``tol / 2``.
-
-    For ``omega >= max(sqrt(8 lam), 8 b lam)`` the kernel dominates
-    ``omega^4 / 2``, so the (already doubled and 1/2pi-normalized) tail
-    beyond ``omega_max`` is at most ``2 / (3 pi omega_max^3)``.  It stops,
-    before the cube can overflow, past ``_OMEGA_LIMIT``, which callers refuse.
-    """
-    omega_max = max(10.0 * lam * (1.0 + b), math.sqrt(8.0 * lam), 8.0 * b * lam, 1.0)
-    if tau > 0:
-        omega_max = max(omega_max, 50.0 / tau)
-    while omega_max <= _OMEGA_LIMIT and 2.0 / (3.0 * math.pi * omega_max**3) > 0.5 * tol:
-        omega_max *= _OMEGA_GROWTH
-    return omega_max
 
 
 def _crossing(lam, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -95,73 +70,96 @@ def critical_delay(lam: float, b: float) -> float:
     return float(_crossing(lam, b)[1])
 
 
-def f_integral(
-    lam: float,
-    tau: float,
-    b: float,
-    quad_tol: float = 1e-9,
-    panel_budget: int = 65536,
-) -> float:
-    """Steady-state position variance ``(1/2pi) int dw / h`` of one mode: past
-    ``tau_c`` it raises :class:`StabilityError`, at a near-zero of ``h``
-    :class:`SecondOrderStabilityError`, on an exhausted budget :class:`QuadratureError`."""
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``e^a`` of each matrix of a stack: scaled by ``2^-s`` to 1-norm at
+    most 1/2, a 16-term Taylor sum, then ``s`` squarings."""
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1] + 1, 0)
+    x = np.ldexp(a, -s[..., None, None])
+    e = eye = np.eye(a.shape[-1])
+    for k in range(16, 0, -1):
+        e = eye + x @ e / k
+    for k in range(s.max(initial=0)):
+        e = np.where((k < s)[..., None, None], e @ e, e)
+    return e
+
+
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kronecker product of matching stacks of n x n matrices."""
+    n = x.shape[-1]
+    return (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(*x.shape[:-2], n * n, n * n)
+
+
+def _delay_lyapunov(a0: np.ndarray, a1: np.ndarray, tau, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``U(0)`` of ``x' = A0 x + A1 x(t - tau)`` with output weight ``q``,
+    ``U(t) = int_0^inf K(s)^T q K(s + t) ds``, for stacks of (A0, A1, tau),
+    and an error estimate of each entry.
+
+    ``Y(t) = U(t)`` and ``Z(t) = U(t - tau)`` on ``[0, tau]`` solve
+    ``Y' = Y A0 + Z A1`` and ``Z' = -A0^T Z - A1^T Y``; in row-major vec form
+    ``(Y, Z)(tau) = e^{M tau} (Y, Z)(0)``.  The boundary conditions
+    ``Y(0) = Z(tau)`` and ``Y(0) A0 + A0^T Y(0) + Z(0) A1 + A1^T Y(tau) = -q``
+    give one ``2n^2`` system per stack entry.  Rounding, that of ``e^{M tau}``
+    included, perturbs each row by about eps times the largest term it sums,
+    so the estimate is ``eps |S^-1| rows |u|_1``, and cancellation shows in it.
+    """
+    n2 = a0.shape[-1] ** 2
+    eye = np.broadcast_to(np.eye(a0.shape[-1]), a0.shape)
+    a0t, a1t = a0.swapaxes(-1, -2), a1.swapaxes(-1, -2)
+    y_a0, y_a1, a1t_y, a0t_z = _kron(eye, a0t), _kron(eye, a1t), _kron(a1t, eye), _kron(a0t, eye)
+    e = _expm(np.block([[y_a0, y_a1], [-a1t_y, -a0t_z]]) * np.asarray(tau)[..., None, None])
+    head = np.eye(n2, 2 * n2)  # picks Y(0) out of (Y, Z)(0)
+    jump = np.concatenate([y_a0 + a0t_z, y_a1], axis=-1)
+    system = np.concatenate([e[..., n2:, :] - head, jump + a1t_y @ e[..., :n2, :]], axis=-2)
+    ae = np.abs(e)
+    rows = np.concatenate([ae[..., n2:, :] + head, np.abs(jump) + np.abs(a1t_y) @ ae[..., :n2, :]], axis=-2)
+    u = np.linalg.solve(system, np.concatenate([np.zeros(n2), -q.ravel()])[:, None])[..., 0]
+    err = (np.abs(np.linalg.inv(system)) @ rows.max(axis=-1, keepdims=True))[..., 0]
+    err *= np.finfo(float).eps * np.abs(u).sum(axis=-1, keepdims=True)
+    return u[..., :n2].reshape(a0.shape), err[..., :n2].reshape(a0.shape)
+
+
+def _f_and_error(lam: np.ndarray, tau: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode squared H2 norms ``f(lam, tau, b)`` and their error estimates,
+    from the mode scaled to unit eigenvalue:
+    ``f(lam, tau, b) = lam^{-3/2} f(1, sqrt(lam) tau, b sqrt(lam))``."""
+    root = np.sqrt(lam)
+    a0 = np.broadcast_to([[0.0, 1.0], [0.0, 0.0]], (lam.size, 2, 2))
+    a1 = np.zeros((lam.size, 2, 2))
+    a1[:, 1, 0], a1[:, 1, 1] = -1.0, -b * root
+    u0, err = _delay_lyapunov(a0, a1, root * tau, np.diag([1.0, 0.0]))
+    scale = lam**-1.5
+    return u0[:, 1, 1] * scale, err[:, 1, 1] * scale
+
+
+def f_integral(lam: float, tau: float, b: float, quad_tol: float = 1e-9) -> float:
+    """Steady-state position variance ``(1/2pi) int dw / h`` of one mode, by the
+    delay Lyapunov solve: past ``tau_c`` it raises :class:`StabilityError`, and
+    where its error estimate exceeds ``quad_tol`` :class:`SecondOrderStabilityError`."""
     check_positive(lam, "eigenvalue")
-    cfg = SecondOrderConfig(b=b, tau=tau, quad_tol=quad_tol, panel_budget=panel_budget)
+    cfg = SecondOrderConfig(b=b, tau=tau, quad_tol=quad_tol)
     return float(_f_per_eigenvalue(np.array([float(lam)]), cfg)[0])
 
 
 def _f_per_eigenvalue(eigenvalues: np.ndarray, cfg: SecondOrderConfig) -> np.ndarray:
-    """Per-mode steady-state position variances ``(1/2pi) int dw / h``, once
-    per distinct eigenvalue (``eigenvalues`` ascend, so only the last distinct
-    one can be within 1e-12 relative), all modes refined together.
+    """Per-mode steady-state position variances, all modes solved together.
 
-    The integrand is even, so ``[0, omega_max]`` is integrated and doubled.
-    A delay past ``tau_c`` of the top mode (so of none below) raises
-    :class:`StabilityError` before any quadrature.  Below ``tau_c`` only
-    ``h(omega_c)`` can near zero; it and every refined panel are checked, and
-    ``h < h_floor`` raises :class:`SecondOrderStabilityError`, as the integral
-    diverges there.  Of faulting modes the lowest one's error is raised.
+    A delay past ``tau_c`` of the top mode (so of none below; ``eigenvalues``
+    ascend) raises :class:`StabilityError` before any solve.  Of the modes
+    whose error estimate exceeds ``quad_tol`` (at ``tau_c`` the system is
+    singular) the lowest raises :class:`SecondOrderStabilityError`.
     """
-    distinct: list[float] = []
-    group = []
-    for lam in eigenvalues.tolist():
-        if not distinct or abs(distinct[-1] - lam) > 1e-12 * max(distinct[-1], 1.0):
-            distinct.append(lam)
-        group.append(len(distinct) - 1)
-    lam = np.array(distinct)
-    tau, b = cfg.tau, cfg.b
-    omega_c, tau_c = _crossing(lam, b)
-    if lam.size and tau > tau_c[-1]:
-        raise StabilityError(tau, float(tau_c[-1]))
-    omega_max = np.array([_truncation_frequency(x, tau, b, cfg.quad_tol) for x in distinct])
-    if (omega_max > _OMEGA_LIMIT).any():
-        raise OverflowError(f"h(w) overflows at lambda_max={lam[-1]:.6g}, b={b:.6g}, tau={tau:.6g}")
-    h_floor = 1e-12 * np.maximum(1.0, lam) ** 2
-    faults: dict[int, Exception] = {}
-
-    def integrand(rows: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        h = h_kernel(lam[rows, None, None], tau, b, omega)
-        low = h < h_floor[rows, None, None]
-        bad = low.any(axis=(1, 2))
-        for r in np.flatnonzero(bad):
-            p = np.argmax(low[r].any(axis=1))  # the first panel that falls low
-            faults.setdefault(int(rows[r]), SecondOrderStabilityError(
-                f"marginal/unstable configuration: h({lam[rows[r]]:.6g}, {tau:.6g}, {b:.6g}, w) falls"
-                f" below {h_floor[rows[r]]:.3e} near w={omega[r, p, np.argmin(h[r, p])]:.6g}"
-            ))
-        h[bad] = np.nan  # stops the row's refinement
-        return 1.0 / h
-
-    integrand(np.arange(lam.size), omega_c[:, None, None])
-    count = min(faults, default=lam.size)  # modes past a crossing fault need no refinement
-    half_line, spent = integrate_rows(
-        integrand, np.zeros(count), omega_max[:count], 0.5 * cfg.quad_tol * math.pi, cfg.panel_budget
-    )
-    for k, exc in spent.items():
-        faults.setdefault(k, QuadratureError(f"mode at eigenvalue {lam[k]:.6g}: {exc}"))
-    if faults:
-        raise faults[min(faults)]
-    return (half_line / math.pi)[group]
+    lam = np.asarray(eigenvalues, dtype=float)
+    if lam.size and cfg.tau > critical_delay(lam[-1], cfg.b):
+        raise StabilityError(cfg.tau, critical_delay(lam[-1], cfg.b))
+    f, err = _f_and_error(lam, cfg.tau, cfg.b)
+    bad = np.flatnonzero(~(err <= cfg.quad_tol))
+    if bad.size:
+        k = bad[0]
+        raise SecondOrderStabilityError(
+            f"marginal/ill-conditioned mode at eigenvalue {lam[k]:.6g} (tau={cfg.tau:.6g},"
+            f" b={cfg.b:.6g}): error estimate {err[k]:.3e} exceeds quad_tol={cfg.quad_tol:.3g}"
+        )
+    return f
 
 
 def so_node_centrality(gm: GraphMatrices, cfg: SecondOrderConfig) -> CentralityReport:
@@ -171,8 +169,8 @@ def so_node_centrality(gm: GraphMatrices, cfg: SecondOrderConfig) -> CentralityR
     spectral density is non-integrable, and the output deviation
     ``y = M_n x`` does not observe it.  A delay past
     ``tau_c(lambda_max)`` (see :func:`critical_delay`) raises
-    :class:`StabilityError`; at ``tau_c`` itself the kernel has a zero at
-    ``omega_c``, which raises :class:`SecondOrderStabilityError`.
+    :class:`StabilityError`; a mode whose error estimate exceeds ``quad_tol``,
+    as at ``tau_c`` itself, raises :class:`SecondOrderStabilityError`.
     """
     dec = gm.spectrum
     f_vals = _f_per_eigenvalue(dec.nonzero_eigenvalues(), cfg)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from delaycent import WeightedGraph, build_matrices, is_connected, oracles, parse_edge_list
-from delaycent import quadrature, secondorder
+from delaycent import quadrature
 from delaycent.centrality import centrality_kernel
 from delaycent.report import RANK_TOL_FACTOR
 
@@ -245,43 +245,6 @@ def reference_integrate_adaptive(f, a, b, abs_tol, max_panels=65536):
         panels += [(pa, pm, *gk15(pa, pm)), (pm, pb, *gk15(pm, pb))]
     panels.sort(key=lambda p: p[0])
     return float(sum(p[2] for p in panels)), len(panels)
-
-
-def per_mode_second_order(eigenvalues, cfg):
-    """The former second-order path: a Python loop over the eigenvalues that
-    reuses the integral of any earlier one within 1e-12 relative, and per new
-    mode a grid scan for near-zeros of ``h`` followed by one adaptive
-    quadrature whose integrand repeats the check.  Returns the value per
-    eigenvalue and the panel count per evaluated mode."""
-    out, panels, cache = np.empty_like(eigenvalues), [], []
-    for idx, lam in enumerate(eigenvalues.tolist()):
-        hit = next((f for known, f in cache if abs(known - lam) <= 1e-12 * max(known, 1.0)), None)
-        if hit is None:
-            tau, b = cfg.tau, cfg.b
-            omega_max = secondorder._truncation_frequency(lam, tau, b, cfg.quad_tol)
-            h_floor = 1e-12 * max(1.0, lam) ** 2
-
-            def integrand(omega):
-                h = secondorder.h_kernel(lam, tau, b, omega)
-                if np.min(h) < h_floor:
-                    raise secondorder.SecondOrderStabilityError(
-                        f"marginal/unstable configuration: h({lam:.6g}, {tau:.6g}, {b:.6g}, w)"
-                        f" falls below {h_floor:.3e} near w={float(omega[int(np.argmin(h))]):.6g}"
-                    )
-                return 1.0 / h
-
-            integrand(np.linspace(0.0, omega_max, 2048 + 1))
-            try:
-                half_line, count = reference_integrate_adaptive(
-                    integrand, 0.0, omega_max, 0.5 * cfg.quad_tol * math.pi, cfg.panel_budget
-                )
-            except quadrature.QuadratureError as exc:
-                raise quadrature.QuadratureError(f"mode at eigenvalue {lam:.6g}: {exc}") from exc
-            hit = half_line / math.pi
-            cache.append((lam, hit))
-            panels.append(count)
-        out[idx] = hit
-    return out, np.array(panels)
 
 
 def stepwise_euler_maruyama(cfg, n_state, n_channels, mix_noise, step_fn, observe_rows):

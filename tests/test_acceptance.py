@@ -285,7 +285,7 @@ def test_criterion_09_second_order_corollary():
     report(
         9,
         worst <= 1e-7 and k2_ok and elapsed < 30.0,
-        f"second-order quadrature vs (1/2b) diag((L^2)^+) on 10 graphs x 3 gains:"
+        f"second-order delay-Lyapunov values vs (1/2b) diag((L^2)^+) on 10 graphs x 3 gains:"
         f" worst abs err {worst:.2e} (tol 1e-7); K2 value 0.0625; {elapsed:.2f}s (< 30s)",
     )
 

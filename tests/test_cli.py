@@ -271,25 +271,17 @@ class TestExitCodes:
         assert code == 4
         assert "marginal" in err
 
-    def test_second_order_kernel_out_of_range_exit_4(self, tmp_path):
-        # lambda_max = 2e80: h(w) ~ w^4 overflows below the truncation frequency.
-        huge = tmp_path / "huge.edges"
-        huge.write_text("0 1 1e80\n")
-        code, out, err = invoke("second-order", "--graph", str(huge), "--b", "1", "--tau", "0")
-        assert (code, out) == (4, "")
-        assert err == "error: h(w) overflows at lambda_max=2e+80, b=1, tau=0\n"
-
-    @pytest.mark.parametrize("edges, tau, lam_max", [("0 1 1e110\n", "0", "2e+110"), (None, "1e-120", "2")])
-    def test_second_order_cutoff_out_of_range_exit_4(self, edges, tau, lam_max, tmp_path):
-        # The cutoff starts past the range check (omega_max ~ lambda_max, or
-        # 50 / tau); its ladder must not overflow cubing it first.
+    @pytest.mark.parametrize("edges, tau, lam", [("0 1 1e80\n", "0", 2e80), ("0 1 1e110\n", "0", 2e110), (None, "1e-120", 2.0)])
+    def test_second_order_extreme_scales_give_the_closed_form(self, edges, tau, lam, tmp_path):
+        # Once refused as out of range (h(w) ~ w^4 past the truncation
+        # frequency): each node holds half the mode's 1 / (2 b lam^2).
         graph = FIXTURES / "k2.edges"
         if edges is not None:
             graph = tmp_path / "huge.edges"
             graph.write_text(edges)
         code, out, err = invoke("second-order", "--graph", str(graph), "--b", "1", "--tau", tau)
-        assert (code, out) == (4, "")
-        assert err == f"error: h(w) overflows at lambda_max={lam_max}, b=1, tau={tau}\n"
+        assert (code, err) == (0, "")
+        assert json.loads(out)["indices"] == [pytest.approx(0.25 / lam**2, rel=1e-12)] * 2
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_unwritable_output_exit_2(self, fmt, tmp_path, capsys):
