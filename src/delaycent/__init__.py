@@ -21,7 +21,6 @@ from .centrality import (
     adversarial_allocation,
     centrality_report,
     check_variances,
-    emitter_display_diagnostic,
     input_matrix,
     link_centrality,
     link_sensitivity,
@@ -38,13 +37,11 @@ from .graph import (
     build_matrices,
     is_connected,
     parse_edge_list,
-    scale_weights,
 )
 from .oracles import (
     SimConfig,
     SimResult,
     SimulationError,
-    mc_node_centrality,
     mode_integral,
     simulate,
     simulate_second_order,
@@ -53,10 +50,7 @@ from .report import CentralityReport, rank_with_ties
 from .secondorder import (
     SecondOrderConfig,
     SecondOrderStabilityError,
-    f_integral,
-    h_kernel,
     so_node_centrality,
-    so_zero_delay_closed_form,
 )
 from .spectral import (
     DisconnectedGraphError,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -145,12 +146,14 @@ def noise_channels(gm: GraphMatrices, structure: NoiseStructure) -> int:
 
 
 def check_variances(variances, channels: int) -> np.ndarray:
-    """``variances`` as a float vector of one finite, nonnegative value per
-    noise channel; anything else raises :class:`ValueError`."""
-    try:
-        var = np.asarray(variances, dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"variances must be numbers: {exc}") from None
+    """``variances`` as a float vector of one finite, nonnegative real number
+    per noise channel; anything else, a string or a boolean included, raises
+    :class:`ValueError`."""
+    entries = np.array(variances, dtype=object)
+    bad = [x for x in entries.flat if isinstance(x, bool) or not isinstance(x, Real)]
+    if bad:
+        raise ValueError(f"variances must be numbers, got {bad[0]!r}")
+    var = entries.astype(float)
     if var.shape != (channels,):
         raise ValueError(
             f"variance vector has shape {var.shape}; {channels} noise channels"
@@ -260,8 +263,11 @@ def _reports(
     alpha: float = 1.0,
 ) -> list[CentralityReport]:
     """Centrality at each delay from one decomposition ``dec`` of the graph
-    with every weight scaled by ``alpha``; all delays are checked first."""
+    with every weight scaled by ``alpha``; all delays are checked first, and
+    link noise on a graph with no edge is refused: it has nothing to rank."""
     infos = [require_stable(dec, t) for t in taus]
+    if structure.indexes_links and not gm.num_edges:
+        raise ValueError(f"graph has no edge to rank for {structure.name} noise")
     indices = _modal_power(gm, dec, structure, [centrality_kernel(dec, t) for t in taus], alpha)
     return [
         make_report(t, structure.name, x, info.tau_max, info.margin)
@@ -454,39 +460,3 @@ def adversarial_allocation(
     variances[k] = float(n)
     worst_rho = float(n * report.indices[k])
     return AdversarialAllocation(variances=variances, worst_rho=worst_rho, node=k)
-
-
-@dataclass(frozen=True)
-class EmitterDiagnostic:
-    """Side-by-side of two emitter-centrality expressions.
-
-    ``generic`` is (1/2) diag(B^T K B) with B the adjacency matrix, the
-    form that satisfies the performance decomposition identity (verified by
-    tests against finite differences and Monte Carlo).  The tempting
-    single-matrix shortcut diag((D^2 L^+ - D + L) cos(tau L)(M_n -
-    sin(tau L))^+)/2, obtained by rearranging the quadratic form as if the
-    diagonal were cyclic-shift invariant, carries half the coefficient on
-    its middle term; the gap is exactly ``(d_i / 2) [cos(tau L)(M_n -
-    sin(tau L))^+]_ii`` per node, so the two differ entrywise and in trace
-    whenever stable dynamics exist.
-    """
-
-    generic: np.ndarray
-    simplified_display: np.ndarray
-    max_abs_diff: float
-
-
-def emitter_display_diagnostic(gm: GraphMatrices, tau: float) -> EmitterDiagnostic:
-    dec = gm.spectrum
-    generic = _reports(gm, dec, EMITTER, [tau])[0].indices
-    degrees = gm.degrees
-    q2 = dec.eigenvectors**2  # diag(Q diag(v) Q^T) = Q^2 v
-    k = centrality_kernel(dec, tau)
-    c = k * dec.eigenvalues  # K L
-    lc = c * dec.eigenvalues  # L^2 K
-    simplified = 0.5 * (degrees**2 * (q2 @ k) - degrees * (q2 @ c) + q2 @ lc)
-    return EmitterDiagnostic(
-        generic=generic,
-        simplified_display=simplified,
-        max_abs_diff=float(np.max(np.abs(generic - simplified))),
-    )

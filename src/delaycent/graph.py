@@ -10,7 +10,6 @@ computes no eigenvector where only eigenvalues are read.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable
@@ -159,25 +158,6 @@ class WeightedGraph:
         """Endpoint pairs (i < j) in canonical edge order."""
         return list(zip(self.i.tolist(), self.j.tolist()))
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightedGraph":
-        try:
-            payload = json.loads(text)
-            n = payload["n"]
-            edges = [tuple(e) for e in payload["edges"]]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise GraphParseError(f"invalid graph JSON: {exc}") from exc
-        return cls(n=int(n), edges=tuple(edges))
-
-    def to_edge_text(self) -> str:
-        """Serialize to the edge-list text format understood by :func:`parse_edge_list`."""
-        lines = [f"n={self.n}"]
-        lines += [f"{i} {j} {w!r}" for i, j, w in self.edges]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True, eq=False)
 class GraphMatrices:
@@ -263,11 +243,6 @@ def check_scale(alpha: float) -> float:
     if not (np.isfinite(alpha) and alpha > 0.0):
         raise GraphError(f"scale factor must be positive, got {alpha}")
     return alpha
-
-
-def scale_weights(g: WeightedGraph, alpha: float) -> WeightedGraph:
-    """Multiply every edge weight by ``alpha`` > 0; topology unchanged."""
-    return WeightedGraph.from_arrays(g.n, g.i, g.j, g.w * check_scale(alpha))
 
 
 def tokenize_edge_lines(text: str | Iterable[str]):

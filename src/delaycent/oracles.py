@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
-from .centrality import NoiseStructure, check_variances, input_matrix
+from .centrality import check_variances
 from .graph import GraphMatrices
 from .quadrature import integrate_adaptive
 from .secondorder import critical_delay
@@ -382,33 +382,3 @@ def _step_in_place(hist, forcing, lap, dt, b_gain) -> None:
         if b_gain is not None:
             np.multiply(v, dt, feedback)
             np.add(p, feedback, new[:n])
-
-
-@dataclass(frozen=True)
-class McNodeCentrality:
-    """Monte Carlo estimate of per-channel centralities, one run per channel."""
-
-    eta_hat: np.ndarray
-    std_err: np.ndarray
-
-
-def mc_node_centrality(
-    gm: GraphMatrices,
-    structure: NoiseStructure,
-    tau: float,
-    cfg: SimConfig,
-) -> McNodeCentrality:
-    """Estimate each channel's centrality as its dispersion alone.
-
-    The dispersion is linear in the variances, ``rho = sum_i eta_i sigma_i^2``,
-    so ``eta_i`` is the dispersion when channel ``i`` alone carries unit
-    noise: one :func:`simulate` run on input column ``i``, with no cross
-    term from the other channels.  The ``tau`` argument replaces ``cfg.tau``.
-    """
-    cfg = replace(cfg, tau=tau)
-    b = input_matrix(gm, structure)
-    runs = [simulate(gm, b[:, [i]], np.ones(1), cfg) for i in range(b.shape[1])]
-    return McNodeCentrality(
-        eta_hat=np.array([r.rho_hat for r in runs]),
-        std_err=np.array([r.std_err for r in runs]),
-    )

@@ -47,16 +47,6 @@ class SecondOrderConfig:
         check_positive(self.quad_tol, "per-mode accuracy quad_tol")
 
 
-def h_kernel(lam: float, tau: float, b: float, omega) -> np.ndarray | float:
-    """Denominator of the per-mode spectral density:
-    ``(lam - w^2 cos(w tau))^2 + w^2 (b lam - w sin(w tau))^2``."""
-    omega = np.asarray(omega, dtype=float)
-    value = (lam - omega**2 * np.cos(omega * tau)) ** 2 + omega**2 * (
-        b * lam - omega * np.sin(omega * tau)
-    ) ** 2
-    return value if value.ndim else float(value)
-
-
 def _crossing(lam, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Frequency and delay at which modes ``lam`` of ``s^2 + lam (1 + b s) e^{-s tau}``
     cross the imaginary axis: ``omega_c^2 = lam (b^2 lam + hypot(b^2 lam, 2)) / 2``."""
@@ -131,15 +121,6 @@ def _f_and_error(lam: np.ndarray, tau: float, b: float) -> tuple[np.ndarray, np.
     return u0[:, 1, 1] * scale, err[:, 1, 1] * scale
 
 
-def f_integral(lam: float, tau: float, b: float, quad_tol: float = 1e-9) -> float:
-    """Steady-state position variance ``(1/2pi) int dw / h`` of one mode, by the
-    delay Lyapunov solve: past ``tau_c`` it raises :class:`StabilityError`, and
-    where its error estimate exceeds ``quad_tol`` :class:`SecondOrderStabilityError`."""
-    check_positive(lam, "eigenvalue")
-    cfg = SecondOrderConfig(b=b, tau=tau, quad_tol=quad_tol)
-    return float(_f_per_eigenvalue(np.array([float(lam)]), cfg)[0])
-
-
 def _f_per_eigenvalue(eigenvalues: np.ndarray, cfg: SecondOrderConfig) -> np.ndarray:
     """Per-mode steady-state position variances, all modes solved together.
 
@@ -184,12 +165,3 @@ def so_node_centrality(gm: GraphMatrices, cfg: SecondOrderConfig) -> CentralityR
         margin=None,
         extras={"b": cfg.b, "quad_tol": cfg.quad_tol},
     )
-
-
-def so_zero_delay_closed_form(gm: GraphMatrices, b: float) -> np.ndarray:
-    """Delay-free second-order centrality ``(1/(2b)) diag((L^2)^+)``."""
-    check_positive(b, "velocity gain b")
-    dec = gm.spectrum
-    lam = dec.nonzero_eigenvalues()
-    q = dec.eigenvectors[:, dec.zero_mode_count :]
-    return (q**2) @ (1.0 / (2.0 * b * lam**2))

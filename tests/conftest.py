@@ -1,12 +1,14 @@
 import ast
 import math
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from delaycent import WeightedGraph, build_matrices, is_connected, oracles, parse_edge_list
-from delaycent import quadrature
+from delaycent import EMITTER, WeightedGraph, build_matrices, input_matrix, is_connected, node_centrality
+from delaycent import oracles, parse_edge_list, quadrature, simulate
 from delaycent.centrality import centrality_kernel
 from delaycent.report import RANK_TOL_FACTOR
 
@@ -107,6 +109,51 @@ def dense_performance(gm, structure, var, tau):
         b = reference_input_matrix(gm.graph, structure.name)
     power = (dec.eigenvectors.T @ b) ** 2
     return float(0.5 * (power @ np.asarray(var, dtype=float)) @ centrality_kernel(dec, tau))
+
+
+class EmitterDiagnostic(NamedTuple):
+    """Side-by-side of two emitter-centrality expressions.
+
+    ``generic`` is (1/2) diag(B^T K B) with B the adjacency matrix, the
+    form that satisfies the performance decomposition identity (verified by
+    tests against finite differences and Monte Carlo).  The tempting
+    single-matrix shortcut diag((D^2 L^+ - D + L) cos(tau L)(M_n -
+    sin(tau L))^+)/2, obtained by rearranging the quadratic form as if the
+    diagonal were cyclic-shift invariant, carries half the coefficient on
+    its middle term; the gap is exactly ``(d_i / 2) [cos(tau L)(M_n -
+    sin(tau L))^+]_ii`` per node, so the two differ entrywise and in trace
+    whenever stable dynamics exist.
+    """
+
+    generic: np.ndarray
+    simplified_display: np.ndarray
+    max_abs_diff: float
+
+
+def emitter_display_diagnostic(gm, tau):
+    """The emitter index next to the simplified display of :class:`EmitterDiagnostic`."""
+    dec = gm.spectrum
+    generic = node_centrality(gm, EMITTER, tau).indices
+    degrees = gm.degrees
+    q2 = dec.eigenvectors**2  # diag(Q diag(v) Q^T) = Q^2 v
+    k = centrality_kernel(dec, tau)
+    c = k * dec.eigenvalues  # K L
+    lc = c * dec.eigenvalues  # L^2 K
+    simplified = 0.5 * (degrees**2 * (q2 @ k) - degrees * (q2 @ c) + q2 @ lc)
+    return EmitterDiagnostic(
+        generic=generic,
+        simplified_display=simplified,
+        max_abs_diff=float(np.max(np.abs(generic - simplified))),
+    )
+
+
+def so_zero_delay_closed_form(gm, b):
+    """Delay-free second-order centrality ``(1/(2b)) diag((L^2)^+)``, as a
+    modal sum over the nonzero modes."""
+    dec = gm.spectrum
+    lam = dec.nonzero_eigenvalues()
+    q = dec.eigenvectors[:, dec.zero_mode_count :]
+    return (q**2) @ (1.0 / (2.0 * b * lam**2))
 
 
 def assemble(dec, values):
@@ -291,6 +338,31 @@ def stepwise_euler_maruyama(cfg, n_state, n_channels, mix_noise, step_fn, observ
                 y = recorded[first_measured:]
                 oracles._measure(y, sum_sq, np.empty((len(y), n_traj)), np.empty_like(y))
     return oracles._finish(sum_sq, meas_steps, cfg)
+
+
+class McNodeCentrality(NamedTuple):
+    """Monte Carlo estimate of per-channel centralities, one run per channel."""
+
+    eta_hat: np.ndarray
+    std_err: np.ndarray
+
+
+def mc_node_centrality(gm, structure, tau, cfg):
+    """Estimate each channel's centrality as its dispersion alone.
+
+    The dispersion is linear in the variances, ``rho = sum_i eta_i sigma_i^2``,
+    so ``eta_i`` is the dispersion when channel ``i`` alone carries unit
+    noise: one :func:`delaycent.simulate` run on input column ``i``, with no
+    cross term from the other channels.  The ``tau`` argument replaces
+    ``cfg.tau``.
+    """
+    cfg = replace(cfg, tau=tau)
+    b = input_matrix(gm, structure)
+    runs = [simulate(gm, b[:, [i]], np.ones(1), cfg) for i in range(b.shape[1])]
+    return McNodeCentrality(
+        eta_hat=np.array([r.rho_hat for r in runs]),
+        std_err=np.array([r.std_err for r in runs]),
+    )
 
 
 def stepwise_simulate(gm, b, variances, cfg):

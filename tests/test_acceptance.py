@@ -22,7 +22,6 @@ from delaycent import (
     adversarial_allocation,
     build_matrices,
     decompose,
-    emitter_display_diagnostic,
     input_matrix,
     link_centrality,
     link_sensitivity,
@@ -32,7 +31,6 @@ from delaycent import (
     scale_sweep,
     simulate,
     so_node_centrality,
-    so_zero_delay_closed_form,
     tau_sweep,
 )
 from delaycent.centrality import centrality_kernel, centrality_report, noise_channels
@@ -42,8 +40,10 @@ from conftest import (
     complete_graph,
     cycle_graph,
     dense_performance,
+    emitter_display_diagnostic,
     path_graph,
     random_connected_graph,
+    so_zero_delay_closed_form,
     star_graph,
 )
 from test_centrality import fd_kappa

@@ -235,6 +235,34 @@ class TestExitCodes:
             outcomes.append((code, capsys.readouterr().err))
         assert outcomes[0] == outcomes[1] == (2, "error: variances must be finite and nonnegative\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["centrality", "--tau", "0.1"],
+            ["rank", "--tau", "0.1"],
+            ["sweep-tau", "--tau-grid", "0,0.1"],
+            ["sweep-scale", "--tau", "0.1", "--alpha-grid", "1,2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("structure", ["measurement", "comm-channel"])
+    def test_link_report_without_edges_exit_2(self, argv, structure, tmp_path, capsys):
+        # One node and no edge: nothing to rank, refused before any report is made.
+        lone = tmp_path / "lone.edges"
+        lone.write_text("n=1\n")
+        assert run([*argv, "--graph", str(lone), "--structure", structure]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: graph has no edge to rank for {structure} noise\n"
+
+    def test_edgeless_perf_and_sensitivity_keep_their_answers(self, tmp_path, capsys):
+        lone = tmp_path / "lone.edges"
+        lone.write_text("n=1\n")
+        base = ["--graph", str(lone), "--tau", "0.1"]
+        assert run(["perf", *base, "--structure", "measurement"]) == 0
+        assert json.loads(capsys.readouterr().out)["rho_ss"] == 0.0
+        assert run(["sensitivity", *base, "--structure", "dynamics"]) == 0
+        assert json.loads(capsys.readouterr().out)["kappa"] == []
+
     def test_disconnected_exit_3(self, tmp_path):
         two = tmp_path / "two.edges"
         two.write_text("0 1\n2 3\n")
@@ -309,6 +337,8 @@ class TestExitCodes:
             ("[1.0, Infinity, 1.0]", "variances must be finite and nonnegative"),
             ("[1.0, -0.5, 1.0]", "variances must be finite and nonnegative"),
             ('{"0": 1.0}', "variances must be numbers"),
+            ('["1", 1.0, 1.0]', "variances must be numbers"),
+            ("[true, 1.0, 1.0]", "variances must be numbers"),
             ("[1.0, 1.0]", "3 noise channels need shape (3,)"),
             ("[1.0,", "cannot read variance file"),
         ],

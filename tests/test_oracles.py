@@ -17,22 +17,22 @@ from delaycent import (
     build_matrices,
     input_matrix,
     link_centrality,
-    mc_node_centrality,
     mode_integral,
     node_centrality,
     performance,
     simulate,
     simulate_second_order,
-    so_zero_delay_closed_form,
 )
 from delaycent import oracles
 from delaycent.centrality import noise_channels
 
 import conftest
 from conftest import (
+    mc_node_centrality,
     name_scopes,
     random_connected_graph,
     ring_chord_graph,
+    so_zero_delay_closed_form,
     stepwise_simulate,
     stepwise_simulate_second_order,
 )

@@ -17,7 +17,7 @@ import pytest
 import delaycent as dc
 from delaycent.cli import run
 
-from conftest import FIXTURES, graph_from_edges, name_scopes, ring_chord_graph
+from conftest import FIXTURES, graph_from_edges, mc_node_centrality, name_scopes, ring_chord_graph
 
 SHORT = dict(dt=0.01, burn_in=0.1, horizon=0.1, n_traj=2, seed=7)
 FIXTURE_GRAPHS = ["k2", "p3", "triangle", "triangle_123", "c4", "star5", "path8",
@@ -65,7 +65,7 @@ class TestOneDecompositionPerGraph:
 
     def test_mc_node_centrality(self, p3, solves):
         # The simulator reads no eigenvector: its stability gate takes eigenvalues alone.
-        dc.mc_node_centrality(p3, dc.DYNAMICS, 0.2, dc.SimConfig(tau=0.0, **SHORT))
+        mc_node_centrality(p3, dc.DYNAMICS, 0.2, dc.SimConfig(tau=0.0, **SHORT))
         assert solves == ["eigvalsh"]
 
 
