@@ -17,7 +17,6 @@ from .centrality import (
     AdversarialAllocation,
     NoiseSpec,
     NoiseStructure,
-    StructureTag,
     adversarial_allocation,
     centrality_report,
     check_variances,

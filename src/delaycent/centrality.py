@@ -25,8 +25,10 @@ from .report import CentralityReport, make_report
 from .spectral import SpectralDecomposition, kernel, require_stable
 
 
-class StructureTag(Enum):
-    """The six uncertainty structures plus an escape hatch for explicit B."""
+class NoiseStructure(Enum):
+    """Where white noise enters the network, by CLI name (the value).  The
+    input matrix is I (dynamics), L (sensor), the degree diagonal (receiver),
+    the adjacency (emitter), E W (comm-channel) or -E (measurement)."""
 
     DYNAMICS = "dynamics"
     SENSOR = "sensor"
@@ -34,115 +36,44 @@ class StructureTag(Enum):
     EMITTER = "emitter"
     COMM_CHANNEL = "comm-channel"
     MEASUREMENT = "measurement"
-    CUSTOM = "custom"
-
-
-_AGENT_TAGS = {
-    StructureTag.DYNAMICS,
-    StructureTag.SENSOR,
-    StructureTag.RECEIVER,
-    StructureTag.EMITTER,
-}
-_LINK_TAGS = {StructureTag.COMM_CHANNEL, StructureTag.MEASUREMENT}
-
-
-@dataclass(frozen=True)
-class NoiseStructure:
-    """Which part of the network the white noise enters through.
-
-    The tag fixes the input matrix: dynamics -> I, sensor -> L,
-    receiver -> degree diagonal, emitter -> adjacency, communication
-    channel -> E W, measurement -> -E.  A custom structure supplies an
-    explicit B (n rows) and declares whether its columns index nodes or
-    links.
-    """
-
-    tag: StructureTag
-    custom_b: np.ndarray | None = None
-    custom_over: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.tag is StructureTag.CUSTOM:
-            if self.custom_b is None or self.custom_over not in ("nodes", "links"):
-                raise ValueError(
-                    "custom structure needs an input matrix and custom_over in {'nodes', 'links'}"
-                )
-            if np.ndim(self.custom_b) != 2:
-                raise ValueError(f"custom input matrix must be 2-D, got shape {np.shape(self.custom_b)}")
-        elif self.custom_b is not None or self.custom_over is not None:
-            raise ValueError("custom_b/custom_over are only valid with the CUSTOM tag")
-
-    @property
-    def name(self) -> str:
-        return self.tag.value
-
-    @property
-    def indexes_nodes(self) -> bool:
-        return self.tag in _AGENT_TAGS or (
-            self.tag is StructureTag.CUSTOM and self.custom_over == "nodes"
-        )
 
     @property
     def indexes_links(self) -> bool:
-        return self.tag in _LINK_TAGS or (
-            self.tag is StructureTag.CUSTOM and self.custom_over == "links"
-        )
-
-    @classmethod
-    def custom(cls, b: np.ndarray, over: str) -> "NoiseStructure":
-        return cls(StructureTag.CUSTOM, custom_b=np.asarray(b, dtype=float), custom_over=over)
+        return self is NoiseStructure.COMM_CHANNEL or self is NoiseStructure.MEASUREMENT
 
     @classmethod
     def from_name(cls, name: str) -> "NoiseStructure":
         try:
-            return cls(StructureTag(name.strip().lower()))
+            return cls(name.strip().lower())
         except ValueError:
-            valid = ", ".join(t.value for t in StructureTag if t is not StructureTag.CUSTOM)
+            valid = ", ".join(s.value for s in cls)
             raise ValueError(f"unknown noise structure {name!r}; expected one of: {valid}") from None
 
 
-DYNAMICS = NoiseStructure(StructureTag.DYNAMICS)
-SENSOR = NoiseStructure(StructureTag.SENSOR)
-RECEIVER = NoiseStructure(StructureTag.RECEIVER)
-EMITTER = NoiseStructure(StructureTag.EMITTER)
-COMM_CHANNEL = NoiseStructure(StructureTag.COMM_CHANNEL)
-MEASUREMENT = NoiseStructure(StructureTag.MEASUREMENT)
-
-ALL_STRUCTURES = (DYNAMICS, SENSOR, RECEIVER, EMITTER, COMM_CHANNEL, MEASUREMENT)
+ALL_STRUCTURES = tuple(NoiseStructure)
+DYNAMICS, SENSOR, RECEIVER, EMITTER, COMM_CHANNEL, MEASUREMENT = ALL_STRUCTURES
 
 
 def input_matrix(gm: GraphMatrices, structure: NoiseStructure) -> np.ndarray:
-    """The dense input matrix B of the structure tag (D, D - L or the
-    incidence E: +1 at each edge's smaller endpoint, -1 at the larger), for
-    custom structures, the simulator and ``verify``; no built-in index uses it."""
-    tag, g = structure.tag, gm.graph
-    if tag is StructureTag.DYNAMICS:
+    """The dense input matrix B of the structure (D, D - L or the incidence E:
+    +1 at each edge's smaller endpoint, -1 at the larger), for the simulator
+    and ``verify``; no index uses it."""
+    if structure is DYNAMICS:
         return np.eye(gm.n)
-    if tag is StructureTag.SENSOR:
+    if structure is SENSOR:
         return gm.laplacian.copy()
-    if tag is StructureTag.RECEIVER:
+    if structure is RECEIVER:
         return np.diag(gm.degrees)
-    if tag is StructureTag.EMITTER:
+    if structure is EMITTER:
         return np.diag(gm.degrees) - gm.laplacian
-    if tag in _LINK_TAGS:
-        b, e = np.zeros((gm.n, gm.num_edges)), np.arange(gm.num_edges)
-        b[g.i, e], b[g.j, e] = 1.0, -1.0
-        return np.multiply(b, g.w, out=b) if tag is StructureTag.COMM_CHANNEL else np.negative(b, out=b)
-    b = np.asarray(structure.custom_b, dtype=float)
-    if b.shape[0] != gm.n:
-        raise ValueError(f"custom input matrix must have {gm.n} rows, got shape {b.shape}")
-    if structure.custom_over == "links" and b.shape[1] != gm.num_edges:
-        raise ValueError(
-            f"custom link-indexed input matrix needs {gm.num_edges} columns, got {b.shape[1]}"
-        )
-    return b.copy()
+    b, e, g = np.zeros((gm.n, gm.num_edges)), np.arange(gm.num_edges), gm.graph
+    b[g.i, e], b[g.j, e] = 1.0, -1.0
+    return np.multiply(b, g.w, out=b) if structure is COMM_CHANNEL else np.negative(b, out=b)
 
 
 def noise_channels(gm: GraphMatrices, structure: NoiseStructure) -> int:
     """Number of independent noise channels for this structure."""
-    if structure.tag is StructureTag.CUSTOM:
-        return int(np.asarray(structure.custom_b).shape[1])
-    return gm.n if structure.indexes_nodes else gm.num_edges
+    return gm.num_edges if structure.indexes_links else gm.n
 
 
 def check_variances(variances, channels: int) -> np.ndarray:
@@ -220,15 +151,14 @@ def _modal_power(
     """The indices ``(1/2) s^2 (Q^T B)^2 g`` over the nonzero modes for each
     vector g of kernel values in ``gs``: one row per g, one column per noise
     channel, with every weight scaled by ``alpha``.  The channel scale s is
-    ``alpha w_e`` for the communication channel and 1 otherwise.  Built-in
-    structures need no dense B: column i of ``Q^T B`` is row i of Q times 1,
-    lam, d_i or d_i - lam (A = D - L), and a built-in link column is
-    ``q_i - q_j`` up to s, squared :func:`_edge_rows` edges at a time (each
-    gather under 128 KiB) with one product per g per block."""
+    ``alpha w_e`` for the communication channel and 1 otherwise.  No dense
+    B is built: column i of ``Q^T B`` is row i of Q times 1, lam, d_i or
+    d_i - lam (A = D - L), and a link column is ``q_i - q_j`` up to s,
+    squared :func:`_edge_rows` edges at a time (each gather under 128 KiB)
+    with one product per g per block."""
     q = dec.eigenvectors[:, dec.zero_mode_count :]
     gs = [g[dec.zero_mode_count :] for g in gs]
-    tag = structure.tag
-    if tag in _LINK_TAGS:
+    if structure.indexes_links:
         out = np.empty((len(gs), gm.num_edges))
         block = _edge_rows(q.shape[1])
         for start in range(0, gm.num_edges, block):
@@ -238,17 +168,15 @@ def _modal_power(
             d *= d
             for k, g in enumerate(gs):
                 out[k, rows] = d @ g
-        s = alpha * gm.graph.w if tag is StructureTag.COMM_CHANNEL else 1.0
+        s = alpha * gm.graph.w if structure is COMM_CHANNEL else 1.0
         return 0.5 * s**2 * out
     lam = dec.nonzero_eigenvalues()
     degrees = alpha * gm.degrees[:, None]
-    if tag is StructureTag.CUSTOM:
-        power = (input_matrix(gm, structure).T @ q) ** 2
-    elif tag is StructureTag.DYNAMICS:
+    if structure is DYNAMICS:
         power = q**2
-    elif tag is StructureTag.SENSOR:
+    elif structure is SENSOR:
         power = (q * lam) ** 2
-    elif tag is StructureTag.RECEIVER:
+    elif structure is RECEIVER:
         power = (degrees * q) ** 2
     else:
         power = (q * (degrees - lam)) ** 2
@@ -267,19 +195,19 @@ def _reports(
     link noise on a graph with no edge is refused: it has nothing to rank."""
     infos = [require_stable(dec, t) for t in taus]
     if structure.indexes_links and not gm.num_edges:
-        raise ValueError(f"graph has no edge to rank for {structure.name} noise")
+        raise ValueError(f"graph has no edge to rank for {structure.value} noise")
     indices = _modal_power(gm, dec, structure, [centrality_kernel(dec, t) for t in taus], alpha)
     return [
-        make_report(t, structure.name, x, info.tau_max, info.margin)
+        make_report(t, structure.value, x, info.tau_max, info.margin)
         for t, x, info in zip(taus, indices, infos)
     ]
 
 
 def node_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
     """Per-agent centrality eta for an agent-indexed noise structure."""
-    if not structure.indexes_nodes:
+    if structure.indexes_links:
         raise ValueError(
-            f"node centrality needs an agent-indexed structure, got {structure.name}"
+            f"node centrality needs an agent-indexed structure, got {structure.value}"
         )
     return _reports(gm, gm.spectrum, structure, [tau])[0]
 
@@ -288,16 +216,16 @@ def link_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) ->
     """Per-link centrality nu for a link-indexed noise structure."""
     if not structure.indexes_links:
         raise ValueError(
-            f"link centrality needs a link-indexed structure, got {structure.name}"
+            f"link centrality needs a link-indexed structure, got {structure.value}"
         )
     return _reports(gm, gm.spectrum, structure, [tau])[0]
 
 
 def centrality_report(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
     """Dispatch to node or link centrality based on what the structure indexes."""
-    if structure.indexes_nodes:
-        return node_centrality(gm, structure, tau)
-    return link_centrality(gm, structure, tau)
+    if structure.indexes_links:
+        return link_centrality(gm, structure, tau)
+    return node_centrality(gm, structure, tau)
 
 
 def link_sensitivity(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> np.ndarray:
@@ -309,10 +237,10 @@ def link_sensitivity(gm: GraphMatrices, structure: NoiseStructure, tau: float) -
     """
     dec = gm.spectrum
     require_stable(dec, tau)
-    dynamics = structure.tag is StructureTag.DYNAMICS
-    if not dynamics and structure.tag is not StructureTag.SENSOR:
+    dynamics = structure is DYNAMICS
+    if not dynamics and structure is not SENSOR:
         raise ValueError(
-            f"link sensitivity is defined for dynamics and sensor noise, got {structure.name}"
+            f"link sensitivity is defined for dynamics and sensor noise, got {structure.value}"
         )
 
     def g(lam):
@@ -451,8 +379,8 @@ def adversarial_allocation(
     putting all power on an agent of maximal centrality, so the worst value
     is ``n * max_i eta_i``.
     """
-    if not structure.indexes_nodes:
-        raise ValueError(f"adversarial allocation needs an agent structure, got {structure.name}")
+    if structure.indexes_links:
+        raise ValueError(f"adversarial allocation needs an agent structure, got {structure.value}")
     report = node_centrality(gm, structure, tau)
     k = int(np.argmax(report.indices))
     n = gm.n

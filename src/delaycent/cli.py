@@ -24,6 +24,7 @@ from . import oracles, secondorder
 from .graph import (
     GraphError,
     GraphMatrices,
+    GraphParseError,
     WeightedGraph,
     build_matrices,
     tokenize_edge_lines,
@@ -215,14 +216,21 @@ def remap_node_ids(records, declared_n: int | None) -> tuple[WeightedGraph, _IdM
 
     ``records`` are the raw ``(line, i, j, w)`` tuples from
     :func:`delaycent.graph.tokenize_edge_lines`.  When the raw ids are
-    already dense (and consistent with any declared count), the map is the
-    identity and declared isolated nodes are preserved.
+    already dense, the map is the identity and declared isolated nodes are
+    preserved.  More distinct ids than a declared count are refused.
     """
     lines, i, j, w = list(zip(*records)) or [()] * 4
     ids, internal = np.unique(np.array(i + j), return_inverse=True)
     # ids are sorted and unique, so they are dense iff the last one is len - 1.
-    if (not len(ids) or ids[-1] == len(ids) - 1) and (declared_n is None or declared_n >= len(ids)):
-        ids = np.arange(len(ids) if declared_n is None else declared_n)
+    if not len(ids) or ids[-1] == len(ids) - 1:
+        n = len(ids) if declared_n is None else declared_n
+        if n < len(ids):
+            WeightedGraph.from_arrays(n, i, j, w, lines=lines)  # raises as parse_edge_list does
+        ids = np.arange(n)
+    elif declared_n is not None and len(ids) > declared_n:
+        raw = np.ravel([i, j], order="F")  # the ids in reading order
+        k = np.sort(np.unique(raw, return_index=True)[1])[declared_n]
+        raise GraphParseError(f"line {lines[k // 2]}: node id {raw[k]} is one too many for n={declared_n}")
     id_map = _IdMap(ids)
     edges = (internal[: len(i)], internal[len(i) :], w)
     return WeightedGraph.from_arrays(len(ids), *edges, lines=lines, names=ids), id_map
@@ -354,7 +362,7 @@ def _cmd_sensitivity(args, gm, id_map):
     links, ids = _channels(gm, id_map, True)
     payload = {
         "tau": args.tau,
-        "structure": structure.name,
+        "structure": structure.value,
         "kappa": kappa.tolist(),
         "links": links,
         "tau_max": info.tau_max,
@@ -369,7 +377,7 @@ def _cmd_perf(args, gm, id_map):
     info = stability_margin(gm.spectrum, args.tau)
     payload = {
         "tau": args.tau,
-        "structure": structure.name,
+        "structure": structure.value,
         "rho_ss": rho,
         "tau_max": info.tau_max,
         "margin": info.margin,
@@ -390,7 +398,7 @@ def _cmd_sweep_tau(args, gm, id_map):
         rank_changes[:, 0] = result.rank_changes[:, 0]
         rank_changes[:, 1:] = id_map.ids[result.rank_changes[:, 1:]]
     payload = {
-        "structure": structure.name,
+        "structure": structure.value,
         "tau_grid": grid,
         "reports": [_report_payload(r, id_map, links) for r in result.reports],
         "rank_changes": rank_changes,
@@ -406,7 +414,7 @@ def _cmd_sweep_scale(args, gm, id_map):
     links, cells = _channels(gm, id_map, structure.indexes_links)
     ids = [c[:1] for c in cells]  # sweep rows name a link by its id alone
     payload = {
-        "structure": structure.name,
+        "structure": structure.value,
         "tau": args.tau,
         "alpha_grid": grid,
         "reports": [_report_payload(r, id_map, links) for r in result.reports],
@@ -464,7 +472,7 @@ def _cmd_verify(args, gm, id_map):
     payload = {
         "tau": args.tau,
         "tau_snapped": result.tau_snapped,
-        "structure": structure.name,
+        "structure": structure.value,
         "rho_closed_form": rho_closed,
         "rho_hat": result.rho_hat,
         "std_err": result.std_err,

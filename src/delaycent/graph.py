@@ -164,8 +164,8 @@ class GraphMatrices:
     """The Laplacian and the degree vector of one graph, both read-only.
 
     ``laplacian == diag(degrees) - A`` with ``A`` the weighted adjacency;
-    no index needs a dense input matrix B: only a custom B, the Monte Carlo
-    oracles and ``verify`` ask :func:`delaycent.centrality.input_matrix`.
+    no index needs a dense input matrix B: only the Monte Carlo oracles and
+    ``verify`` ask :func:`delaycent.centrality.input_matrix`.
     The eigendecomposition is cached once per graph: :attr:`spectrum` with
     eigenvectors for the indices, :attr:`eigenvalue_spectrum` without them
     where none is read.

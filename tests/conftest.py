@@ -98,17 +98,21 @@ def reference_input_matrix(g, name):
     }[name]()
 
 
+def dense_indices(gm, structure, tau):
+    """The indices ``(1/2) K (Q^T B)^2`` over all modes with the dense B of
+    :func:`reference_input_matrix`, the channel scale s inside B: the oracle
+    for the gathered edge blocks of the link indices."""
+    dec = gm.spectrum
+    power = (dec.eigenvectors.T @ reference_input_matrix(gm.graph, structure.value)) ** 2
+    return 0.5 * centrality_kernel(dec, tau) @ power
+
+
 def dense_performance(gm, structure, var, tau):
     """The dispersion as ``(1/2) sum_k [Q^T B diag(sigma^2) B^T Q]_kk K_k``
-    with a dense B: :func:`reference_input_matrix` or the custom B.  The
-    oracle for ``performance`` and for ``rho = sigma^2 . eta``, independent
-    of the index contraction."""
-    dec = gm.spectrum
-    b = structure.custom_b
-    if b is None:
-        b = reference_input_matrix(gm.graph, structure.name)
-    power = (dec.eigenvectors.T @ b) ** 2
-    return float(0.5 * (power @ np.asarray(var, dtype=float)) @ centrality_kernel(dec, tau))
+    with the dense B of :func:`reference_input_matrix`.  The oracle for
+    ``performance`` and for ``rho = sigma^2 . eta``, independent of the
+    index contraction."""
+    return float(dense_indices(gm, structure, tau) @ np.asarray(var, dtype=float))
 
 
 class EmitterDiagnostic(NamedTuple):

@@ -164,7 +164,7 @@ def test_criterion_05_monotonicity_in_delay():
             for tau in grid:
                 idx = centrality_report(gm, structure, tau).indices
                 if prev is not None and not (idx > prev).all():
-                    report(5, False, f"indices not increasing for {structure.name}")
+                    report(5, False, f"indices not increasing for {structure.value}")
                 prev = idx
     report(5, True, "eta/nu strictly increase along 20-point tau grids on 10 graphs x 6 structures")
 
@@ -185,7 +185,7 @@ def test_criterion_06_scaling_invariance():
     for structure, power in exponents.items():
         sweep = scale_sweep(gm, structure, 0.0, alphas)
         if not all(sweep.matches_baseline):
-            report(6, False, f"tau=0 ranking changed under scaling for {structure.name}")
+            report(6, False, f"tau=0 ranking changed under scaling for {structure.value}")
         ref = sweep.reports[1].indices  # alpha = 1
         for alpha, rep in zip(alphas, sweep.reports):
             expected = ref * alpha**power

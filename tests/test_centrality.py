@@ -19,7 +19,6 @@ from delaycent import (
     NoiseSpec,
     NoiseStructure,
     StabilityError,
-    StructureTag,
     WeightedGraph,
     adversarial_allocation,
     build_matrices,
@@ -44,6 +43,7 @@ from conftest import (
     assemble,
     complete_graph,
     cycle_graph,
+    dense_indices,
     dense_performance,
     dense_reference,
     edge_quadratic_form,
@@ -114,49 +114,12 @@ class TestInputMatrix:
         np.testing.assert_allclose(input_matrix(p3, RECEIVER), np.diag([1.0, 2.0, 1.0]))
         np.testing.assert_allclose(input_matrix(p3, EMITTER), dense_reference(p3.graph)["adjacency"])
 
-    def test_custom_row_count_checked(self, p3):
-        bad = NoiseStructure.custom(np.ones((2, 3)), over="nodes")
-        with pytest.raises(ValueError, match="rows"):
-            input_matrix(p3, bad)
-
-    def test_custom_link_columns_checked(self, p3):
-        bad = NoiseStructure.custom(np.ones((3, 5)), over="links")
-        with pytest.raises(ValueError, match="columns"):
-            input_matrix(p3, bad)
-
-    @pytest.mark.parametrize("shape", [(), (3,), (3, 3, 1)])
-    @pytest.mark.parametrize("over", ["nodes", "links"])
-    def test_custom_input_must_be_a_matrix(self, shape, over):
-        with pytest.raises(ValueError, match="2-D"):
-            NoiseStructure.custom(np.ones(shape), over=over)
-        with pytest.raises(ValueError, match="2-D"):
-            NoiseStructure(StructureTag.CUSTOM, custom_b=np.ones(shape).tolist(), custom_over=over)
-
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            lambda gm, s: performance(gm, NoiseSpec(s()), 0.1),
-            lambda gm, s: NoiseSpec(s()).resolve_variances(gm),
-            lambda gm, s: node_centrality(gm, s(), 0.1),
-        ],
-        ids=["performance", "resolve_variances", "node_centrality"],
-    )
-    def test_vector_custom_input_is_a_value_error_everywhere(self, p3, entry):
-        # A 1-D B used to reach shape[1] in performance and resolve_variances
-        # and raise a bare IndexError there; all three now get the same refusal.
-        with pytest.raises(ValueError, match="2-D"):
-            entry(p3, lambda: NoiseStructure.custom(np.ones(3), over="nodes"))
-
     def test_dense_input_is_built_only_where_asked(self):
-        # No index path assembles B: only a custom B, the simulator and verify.
+        # No index path assembles B: only the simulator and verify.
         callers = []
         for path in sorted(Path(centrality_module.__file__).parent.glob("*.py")):
             callers += [f"{path.name}:{scope}" for scope in name_scopes(path, ["input_matrix"])]
-        assert callers == [
-            "centrality.py:_modal_power",
-            "cli.py:_cmd_simulate",
-            "cli.py:_cmd_verify",
-        ]
+        assert callers == ["cli.py:_cmd_simulate", "cli.py:_cmd_verify"]
 
     def test_from_name(self):
         assert NoiseStructure.from_name("comm-channel") == COMM_CHANNEL
@@ -193,22 +156,16 @@ class TestPerformance:
         rho = performance(triangle, NoiseSpec(MEASUREMENT, np.ones(3)), 0.0)
         assert rho == pytest.approx(1.0, rel=1e-12)  # 3 edges x 1/3
 
-    @pytest.mark.parametrize("structure", ALL_STRUCTURES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("structure", ALL_STRUCTURES, ids=lambda s: s.value)
     def test_single_node_has_zero_dispersion(self, structure):
         # No nonzero mode, and for link noise no channel at all.
         assert performance(build_matrices(parse_edge_list("n=1")), NoiseSpec(structure), 0.0) == 0.0
 
-    @pytest.mark.parametrize(
-        "structure", [*ALL_STRUCTURES, "custom-nodes", "custom-links"], ids=lambda s: getattr(s, "name", s)
-    )
+    @pytest.mark.parametrize("structure", ALL_STRUCTURES, ids=lambda s: s.value)
     @pytest.mark.parametrize("graph", ["ex1_graph", "ring_chord100"])
     def test_equals_the_dense_oracle(self, graph, structure, request):
         gm = request.getfixturevalue(graph)
         rng = np.random.default_rng(71)
-        if structure == "custom-nodes":
-            structure = NoiseStructure.custom(rng.normal(size=(gm.n, gm.n)), over="nodes")
-        elif structure == "custom-links":
-            structure = NoiseStructure.custom(rng.normal(size=(gm.n, gm.num_edges)), over="links")
         tau = 0.7 * math.pi / (2 * gm.spectrum.lambda_max)
         var = rng.uniform(0.5, 2.0, noise_channels(gm, structure))
         rho = performance(gm, NoiseSpec(structure, var), tau)
@@ -259,12 +216,6 @@ class TestNodeCentrality:
         np.testing.assert_allclose(rep.indices, [want, want], rtol=4 * EPS * tau_max / 2e-9)
         assert want == pytest.approx(62499997.341, rel=1e-11)
 
-    def test_custom_over_nodes_matches_dynamics(self, p3):
-        custom = NoiseStructure.custom(np.eye(3), over="nodes")
-        rep = node_centrality(p3, custom, 0.1)
-        ref = node_centrality(p3, DYNAMICS, 0.1)
-        np.testing.assert_allclose(rep.indices, ref.indices, rtol=1e-12)
-
 
 class TestLinkCentrality:
     def test_triangle_measurement(self, triangle):
@@ -288,12 +239,6 @@ class TestLinkCentrality:
     def test_agent_structure_rejected(self, triangle):
         with pytest.raises(ValueError, match="link-indexed"):
             link_centrality(triangle, DYNAMICS, 0.0)
-
-    def test_custom_over_links_matches_measurement(self, triangle):
-        custom = NoiseStructure.custom(-dense_reference(triangle.graph)["incidence"], over="links")
-        rep = link_centrality(triangle, custom, 0.15)
-        ref = link_centrality(triangle, MEASUREMENT, 0.15)
-        np.testing.assert_allclose(rep.indices, ref.indices, rtol=1e-12)
 
 
 class TestLinkSensitivity:
@@ -428,21 +373,21 @@ class TestRandomGraphProperties:
         taus = np.sort(steps) / 1000 * math.pi / (2 * gm.spectrum.lambda_max)
         for structure in ALL_STRUCTURES:
             indices = np.array([r.indices for r in tau_sweep(gm, structure, taus).reports])
-            assert (np.diff(indices, axis=0) > 0).all(), structure.name
+            assert (np.diff(indices, axis=0) > 0).all(), structure.value
 
     @settings(deadline=None)
     @given(g=connected_graphs(), f=delay_fractions)
-    def test_builtin_links_equal_their_custom_input(self, g, f):
+    def test_builtin_links_equal_the_dense_oracle(self, g, f):
+        # The gathered edge blocks against (1/2) K (Q^T B)^2 with a dense B.
         gm = build_matrices(g)
         tau = f * math.pi / (2 * gm.spectrum.lambda_max)
         for structure in (COMM_CHANNEL, MEASUREMENT):
-            custom = NoiseStructure.custom(input_matrix(gm, structure), over="links")
             np.testing.assert_allclose(
-                link_centrality(gm, custom, tau).indices,
                 link_centrality(gm, structure, tau).indices,
+                dense_indices(gm, structure, tau),
                 rtol=1e-12,
                 atol=0,
-                err_msg=structure.name,
+                err_msg=structure.value,
             )
 
     @settings(deadline=None)
@@ -454,13 +399,13 @@ class TestRandomGraphProperties:
         exponents = {DYNAMICS: -1, MEASUREMENT: -1, SENSOR: 1, RECEIVER: 1, EMITTER: 1, COMM_CHANNEL: 1}
         for structure, power in exponents.items():
             sweep = scale_sweep(gm, structure, 0.0, [alpha])
-            assert sweep.matches_baseline == [True], structure.name
+            assert sweep.matches_baseline == [True], structure.value
             np.testing.assert_allclose(
                 sweep.reports[0].indices,
                 sweep.baseline.indices * alpha**power,
                 rtol=1e-9,
                 atol=0,
-                err_msg=structure.name,
+                err_msg=structure.value,
             )
 
 
@@ -585,9 +530,7 @@ class TestEdgeBlocks:
         dec = decompose(gm.laplacian, require_connected=True)
         tau = 0.6 * math.pi / (2 * dec.lambda_max)
         forms = dense_edge_forms(gm, dec, centrality_kernel(dec, tau))
-        w = gm.graph.w
-        custom = NoiseStructure.custom(input_matrix(gm, COMM_CHANNEL), over="links")
-        for structure, s in ((MEASUREMENT, 1.0), (COMM_CHANNEL, w), (custom, w)):
+        for structure, s in ((MEASUREMENT, 1.0), (COMM_CHANNEL, gm.graph.w)):
             nu = link_centrality(gm, structure, tau).indices
             np.testing.assert_allclose(nu, 0.5 * s**2 * forms, rtol=1e-12, atol=0)
 
@@ -596,7 +539,7 @@ class TestEdgeBlocks:
         gm = ring_chord100
         dec = decompose(gm.laplacian, require_connected=True)
         tau = 0.6 * math.pi / (2 * dec.lambda_max)
-        ref = 0.5 * dense_edge_forms(gm, dec, kernel(dec, SENSITIVITY_MAPS[structure.name](tau)))
+        ref = 0.5 * dense_edge_forms(gm, dec, kernel(dec, SENSITIVITY_MAPS[structure.value](tau)))
         kappa = link_sensitivity(gm, structure, tau)
         np.testing.assert_allclose(kappa, ref, rtol=1e-12, atol=0)
 
@@ -651,7 +594,7 @@ class TestEdgeBlocks:
             tracemalloc.stop()
         assert peak < 8 * block * gm.n * 8
 
-    @pytest.mark.parametrize("structure", [MEASUREMENT, COMM_CHANNEL], ids=lambda s: s.name)
+    @pytest.mark.parametrize("structure", [MEASUREMENT, COMM_CHANNEL], ids=lambda s: s.value)
     def test_performance_peak_memory_is_a_few_edge_blocks(self, structure, monkeypatch):
         # A dense n x m input matrix would take m n * 8 bytes, 50 block units
         # here, and its modal product as much again.
@@ -877,15 +820,10 @@ class TestSweepSharedDecomposition:
     @pytest.mark.parametrize("graph", ["ex1_graph", "c4", "star5", "ring_chord100"])
     def test_tau_sweep_points_equal_single_calls(self, graph, request):
         gm = request.getfixturevalue(graph)
-        rng = np.random.default_rng(61)
-        custom = (
-            NoiseStructure.custom(rng.normal(size=(gm.n, gm.n + 1)), over="nodes"),
-            NoiseStructure.custom(rng.normal(size=(gm.n, gm.num_edges)), over="links"),
-        )
         tau_max = math.pi / (2 * decompose(gm.laplacian).lambda_max)
         grid = np.linspace(0.0, 0.95 * tau_max, 12)
         flips = 0
-        for structure in ALL_STRUCTURES + custom:
+        for structure in ALL_STRUCTURES:
             sweep = tau_sweep(gm, structure, grid)
             for tau, rep in zip(grid, sweep.reports):
                 single = centrality_report(gm, structure, tau)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delaycent import DYNAMICS, NoiseSpec, build_matrices, parse_edge_list, performance
+from delaycent import DYNAMICS, NoiseSpec, NoiseStructure, build_matrices, parse_edge_list, performance
 from delaycent.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -173,12 +173,15 @@ class TestExitCodes:
         assert code == 2
 
     def test_unknown_structure(self):
-        code, _, err = invoke(
-            "centrality", "--graph", str(FIXTURES / "k2.edges"),
-            "--structure", "gremlins", "--tau", "0",
-        )
-        assert code == 2
-        assert "unknown noise structure" in err
+        for name in ("gremlins", "custom"):
+            code, _, err = invoke(
+                "centrality", "--graph", str(FIXTURES / "k2.edges"),
+                "--structure", name, "--tau", "0",
+            )
+            assert code == 2
+            assert "unknown noise structure" in err
+            listed = err.strip().split("expected one of: ")[1].split(", ")
+            assert listed == [s.value for s in NoiseStructure]
 
     def test_unreadable_graph(self):
         code, _, err = invoke(
@@ -513,6 +516,21 @@ class TestRemapping:
         header, row = csv.reader(io.StringIO((tmp_path / "sim.csv").read_text()))
         assert header[4:] == ["var_10", "var_20", "var_35"]
         assert [float(v) for v in row[4:]] == pytest.approx(payload["per_node_var"], rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=2\n0 1\n1 2\n", "line 3: node id 2 >= declared node count 2"),  # as parse_edge_list
+            ("n=2\n5 9\n9 11\n", "line 3: node id 11 is one too many for n=2"),
+        ],
+        ids=["dense", "sparse"],
+    )
+    def test_more_ids_than_declared_exit_2(self, text, message, tmp_path, capsys):
+        graph = tmp_path / "over.edges"
+        graph.write_text(text)
+        assert run(["stability", "--graph", str(graph), "--tau", "0.1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.idmap.json"))
 
     def test_dense_ids_identity_no_side_file(self, tmp_path):
         out_path = tmp_path / "report.json"

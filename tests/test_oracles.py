@@ -242,8 +242,8 @@ class TestOracleAgreementAllStructures:
             var = np.ones(noise_channels(gm, structure))
             res = simulate(gm, input_matrix(gm, structure), var, cfg)
             closed = performance(gm, NoiseSpec(structure), tau)
-            assert abs(res.rho_hat - closed) <= 3.0 * res.std_err, structure.name
-            assert res.std_err <= 0.05 * closed, structure.name
+            assert abs(res.rho_hat - closed) <= 3.0 * res.std_err, structure.value
+            assert res.std_err <= 0.05 * closed, structure.value
 
 
 class TestMeasure:
@@ -348,7 +348,7 @@ class TestBlockedLoopMatchesStepwise:
         got = simulate_second_order(p3, 0.7, var, cfg)
         self.assert_identical(got, stepwise_simulate_second_order(p3, 0.7, var, cfg))
 
-    @pytest.mark.parametrize("structure", [SENSOR, COMM_CHANNEL], ids=lambda s: s.name)
+    @pytest.mark.parametrize("structure", [SENSOR, COMM_CHANNEL], ids=lambda s: s.value)
     @pytest.mark.parametrize("d", [0, 20])
     def test_mixed_input(self, structure, d, monkeypatch):
         # A dense B: the GEMM noise mix sums each row in another order than
@@ -428,7 +428,7 @@ class TestMcNodeCentrality:
         mc = mc_node_centrality(k2, SENSOR, 0.0, SimConfig(tau=0.0, **self.CFG))
         np.testing.assert_array_less(np.abs(mc.eta_hat - 0.5), 3.0 * mc.std_err)
 
-    @pytest.mark.parametrize("structure", [DYNAMICS, MEASUREMENT], ids=lambda s: s.name)
+    @pytest.mark.parametrize("structure", [DYNAMICS, MEASUREMENT], ids=lambda s: s.value)
     def test_p3_at_half_the_delay_bound(self, p3, structure):
         # About half of tau_max, on the step grid, so the closed form and the
         # run see the same delay.

@@ -49,7 +49,7 @@ def test_matches_reference(values, tol_factor):
         [1.0, 1.0 - 0.9e-9, 1.0 - 2.0e-9],  # a tie of two, then a gap of 1.1 tol
         [3.0] * 6,  # all equal
         [2.5],  # a single element
-        [-3.0, -1.0, -1.0 + 5e-10, -2.0, -1.0 - 2e-9],  # negative custom-B values
+        [-3.0, -1.0, -1.0 + 5e-10, -2.0, -1.0 - 2e-9],  # negative values
     ],
 )
 def test_pinned_cases(values):
