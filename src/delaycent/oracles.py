@@ -227,7 +227,7 @@ def simulate(
     n = gm.n
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != n:
-        raise ValueError(f"input matrix must have {n} rows, got shape {b.shape}")
+        raise ValueError(f"input matrix must be 2-D with {n} rows, got shape {b.shape}")
     variances = check_variances(variances, b.shape[1])
     require_stable(gm.eigenvalue_spectrum, max(cfg.tau, cfg.tau_snapped))
 

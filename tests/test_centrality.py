@@ -126,6 +126,16 @@ class TestInputMatrix:
         with pytest.raises(ValueError, match="unknown noise structure"):
             NoiseStructure.from_name("gremlins")
 
+    @pytest.mark.parametrize("structure", ALL_STRUCTURES, ids=lambda s: s.value)
+    def test_each_member_parses_and_sizes_its_channels(self, p3, structure):
+        # p3 has 3 nodes and 2 links, so node and link channels differ.
+        assert NoiseStructure.from_name(f" {structure.value.upper()} ") is structure
+        assert (structure in LINK_STRUCTURES) != (structure in AGENT_STRUCTURES)
+        assert structure.indexes_links == (structure in LINK_STRUCTURES)
+        channels = noise_channels(p3, structure)
+        assert channels == (2 if structure.indexes_links else 3)
+        assert input_matrix(p3, structure).shape == (3, channels)
+
 
 class TestPerformance:
     def test_k2_dynamics_no_delay(self, k2):

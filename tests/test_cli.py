@@ -522,8 +522,11 @@ class TestRemapping:
         [
             ("n=2\n0 1\n1 2\n", "line 3: node id 2 >= declared node count 2"),  # as parse_edge_list
             ("n=2\n5 9\n9 11\n", "line 3: node id 11 is one too many for n=2"),
+            ("n=2\n5 9\n11 9\n", "line 3: node id 11 is one too many for n=2"),
+            # The third id read is named, not the third largest or smallest.
+            ("n=2\n5 9\n1 5\n", "line 3: node id 1 is one too many for n=2"),
         ],
-        ids=["dense", "sparse"],
+        ids=["dense", "sparse", "sparse-first-endpoint", "sparse-reading-order"],
     )
     def test_more_ids_than_declared_exit_2(self, text, message, tmp_path, capsys):
         graph = tmp_path / "over.edges"
@@ -531,6 +534,13 @@ class TestRemapping:
         assert run(["stability", "--graph", str(graph), "--tau", "0.1"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("*.idmap.json"))
+
+    @pytest.mark.parametrize("text", ["n=3\n0 1\n1 2\n", "n=2\n5 9\n"], ids=["dense", "sparse"])
+    def test_exactly_the_declared_ids_accepted(self, text, tmp_path, capsys):
+        graph = tmp_path / "full.edges"
+        graph.write_text(text)
+        assert run(["stability", "--graph", str(graph), "--tau", "0.1"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == int(text[2])
 
     def test_dense_ids_identity_no_side_file(self, tmp_path):
         out_path = tmp_path / "report.json"

@@ -217,6 +217,13 @@ class TestSimulate:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 simulate_second_order(k2, 1.0, np.array([1.0, bad]), cfg)
 
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3, 1)])
+    def test_input_must_be_a_matrix(self, p3, shape):
+        # The simulator is the one entry that takes an arbitrary B.
+        cfg = SimConfig(tau=0.0, dt=5e-3, burn_in=1.0, horizon=5.0, n_traj=2, seed=1)
+        with pytest.raises(ValueError, match="2-D with 3 rows"):
+            simulate(p3, np.ones(shape), np.ones(3), cfg)
+
     def test_matches_closed_form_k2(self, k2):
         cfg = SimConfig(tau=0.2, dt=2e-3, burn_in=20.0, horizon=150.0, n_traj=16, seed=101)
         res = simulate(k2, np.eye(2), np.ones(2), cfg)
