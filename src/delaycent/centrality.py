@@ -66,9 +66,11 @@ def input_matrix(gm: GraphMatrices, structure: NoiseStructure) -> np.ndarray:
         return np.diag(gm.degrees)
     if structure is EMITTER:
         return np.diag(gm.degrees) - gm.laplacian
-    b, e, g = np.zeros((gm.n, gm.num_edges)), np.arange(gm.num_edges), gm.graph
-    b[g.i, e], b[g.j, e] = 1.0, -1.0
-    return np.multiply(b, g.w, out=b) if structure is COMM_CHANNEL else np.negative(b, out=b)
+    if structure is COMM_CHANNEL or structure is MEASUREMENT:
+        b, e, g = np.zeros((gm.n, gm.num_edges)), np.arange(gm.num_edges), gm.graph
+        b[g.i, e], b[g.j, e] = 1.0, -1.0
+        return np.multiply(b, g.w, out=b) if structure is COMM_CHANNEL else np.negative(b, out=b)
+    raise ValueError(f"structure must be a NoiseStructure member, got {structure!r}")
 
 
 def noise_channels(gm: GraphMatrices, structure: NoiseStructure) -> int:
@@ -379,8 +381,6 @@ def adversarial_allocation(
     putting all power on an agent of maximal centrality, so the worst value
     is ``n * max_i eta_i``.
     """
-    if structure.indexes_links:
-        raise ValueError(f"adversarial allocation needs an agent structure, got {structure.value}")
     report = node_centrality(gm, structure, tau)
     k = int(np.argmax(report.indices))
     n = gm.n

@@ -215,22 +215,26 @@ def remap_node_ids(records, declared_n: int | None) -> tuple[WeightedGraph, _IdM
     """Densify arbitrary nonnegative node ids into 0..n-1.
 
     ``records`` are the raw ``(line, i, j, w)`` tuples from
-    :func:`delaycent.graph.tokenize_edge_lines`.  When the raw ids are
-    already dense, the map is the identity and declared isolated nodes are
-    preserved.  More distinct ids than a declared count are refused.
+    :func:`delaycent.graph.tokenize_edge_lines`.  A declared count is kept:
+    the declared nodes that no edge names take the smallest free raw ids, so
+    ids under the count map to themselves.  More distinct ids than a
+    declared count are refused.
     """
     lines, i, j, w = list(zip(*records)) or [()] * 4
-    ids, internal = np.unique(np.array(i + j), return_inverse=True)
-    # ids are sorted and unique, so they are dense iff the last one is len - 1.
-    if not len(ids) or ids[-1] == len(ids) - 1:
-        n = len(ids) if declared_n is None else declared_n
-        if n < len(ids):
-            WeightedGraph.from_arrays(n, i, j, w, lines=lines)  # raises as parse_edge_list does
-        ids = np.arange(n)
-    elif declared_n is not None and len(ids) > declared_n:
-        raw = np.ravel([i, j], order="F")  # the ids in reading order
+    ends = np.array(i + j) if records else np.zeros(0, dtype=int)
+    if ends.dtype.kind == "f":  # int64 beside uint64 ids promotes to float: keep them exact
+        ends = np.array(i + j, dtype=object)
+    ids, internal = np.unique(ends, return_inverse=True)
+    if declared_n is not None and len(ids) > declared_n:
+        if ids[-1] == len(ids) - 1:  # dense ids: refused as parse_edge_list refuses them
+            WeightedGraph.from_arrays(declared_n, i, j, w, lines=lines)
+        raw = ends.reshape(2, -1).ravel(order="F")  # the ids in reading order
         k = np.sort(np.unique(raw, return_index=True)[1])[declared_n]
         raise GraphParseError(f"line {lines[k // 2]}: node id {raw[k]} is one too many for n={declared_n}")
+    if declared_n is not None and len(ids) < declared_n:
+        free = np.setdiff1d(np.arange(declared_n).astype(ids.dtype), ids)  # uint64 or object ids stay exact
+        ids = np.union1d(ids, free[: declared_n - len(ids)])
+        internal = np.searchsorted(ids, ends)
     id_map = _IdMap(ids)
     edges = (internal[: len(i)], internal[len(i) :], w)
     return WeightedGraph.from_arrays(len(ids), *edges, lines=lines, names=ids), id_map

@@ -270,10 +270,10 @@ def reference_rank_with_ties(indices, tol_factor=RANK_TOL_FACTOR):
 
 
 def reference_integrate_adaptive(f, a, b, abs_tol, max_panels=65536):
-    """The former ``integrate_adaptive``: one panel list per integral, one
-    ``gk15`` call (two ``ddot``) per panel, the first worst panel split per
-    pass and the error estimate re-summed each pass.  Returns the value and
-    the panel count.  The oracle for the batched refinement."""
+    """The first ``integrate_adaptive``: a plain panel list, one integrand
+    call (two ``ddot``) per panel, the first worst panel split per pass and
+    the error estimate re-summed each pass.  Returns the value and the panel
+    count.  The oracle for the heap of ``quadrature.integrate_adaptive``."""
     kronrod_w, gauss_w = (np.ascontiguousarray(w) for w in quadrature._RULES.T)
 
     def gk15(lo, hi):
@@ -295,7 +295,10 @@ def reference_integrate_adaptive(f, a, b, abs_tol, max_panels=65536):
         pm = 0.5 * (pa + pb)
         panels += [(pa, pm, *gk15(pa, pm)), (pm, pb, *gk15(pm, pb))]
     panels.sort(key=lambda p: p[0])
-    return float(sum(p[2] for p in panels)), len(panels)
+    value = 0.0
+    for p in panels:  # left to right, uncompensated
+        value += p[2]
+    return value, len(panels)
 
 
 def stepwise_euler_maruyama(cfg, n_state, n_channels, mix_noise, step_fn, observe_rows):

@@ -110,6 +110,11 @@ class TestInputMatrix:
         incidence = dense_reference(triangle.graph)["incidence"]
         np.testing.assert_allclose(input_matrix(triangle, MEASUREMENT), -incidence)
 
+    @pytest.mark.parametrize("structure", ["dynamics", np.eye(3), None], ids=["name", "matrix", "none"])
+    def test_anything_but_a_member_is_refused(self, p3, structure):
+        with pytest.raises(ValueError, match="^structure must be a NoiseStructure member, got "):
+            input_matrix(p3, structure)
+
     def test_receiver_and_emitter(self, p3):
         np.testing.assert_allclose(input_matrix(p3, RECEIVER), np.diag([1.0, 2.0, 1.0]))
         np.testing.assert_allclose(input_matrix(p3, EMITTER), dense_reference(p3.graph)["adjacency"])
@@ -897,7 +902,7 @@ class TestAdversarialAllocation:
         assert result.worst_rho == pytest.approx(uniform, rel=1e-10)
 
     def test_link_structure_rejected(self, c4):
-        with pytest.raises(ValueError, match="agent structure"):
+        with pytest.raises(ValueError, match="^node centrality needs an agent-indexed structure, got measurement$"):
             adversarial_allocation(c4, MEASUREMENT, 0.0)
 
 

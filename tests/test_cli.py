@@ -542,6 +542,35 @@ class TestRemapping:
         assert run(["stability", "--graph", str(graph), "--tau", "0.1"]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == int(text[2])
 
+    def test_larger_header_keeps_its_count_however_the_ids_are_spelled(self, tmp_path, capsys):
+        # Under n=12 the ids 5, 9, 11 name three of twelve nodes, as 0, 1, 2 do.
+        errors = []
+        for name, text in [("dense", "n=12\n0 1\n1 2\n"), ("sparse", "n=12\n5 9\n9 11\n")]:
+            graph = tmp_path / f"{name}.edges"
+            graph.write_text(text)
+            assert run(["stability", "--graph", str(graph), "--tau", "0.1"]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: expected exactly one zero mode, found 10: graph is disconnected")
+        assert not list(tmp_path.glob("*.idmap.json"))
+
+    def test_undeclared_nodes_take_the_smallest_free_ids(self, tmp_path, capsys):
+        graph = tmp_path / "big.edges"
+        graph.write_text("n=4\n100 200\n200 300\n")
+        assert run(["stability", "--graph", str(graph), "--tau", "0.1"]) == 3
+        assert "found 2: graph is disconnected" in capsys.readouterr().err
+        side = json.loads((tmp_path / "big.edges.idmap.json").read_text())
+        assert side == {"0": 0, "100": 1, "200": 2, "300": 3}
+
+    @pytest.mark.parametrize("low", [2**63, 2**70])
+    def test_undeclared_nodes_beside_huge_ids_stay_exact(self, tmp_path, capsys, low):
+        graph = tmp_path / "huge.edges"
+        graph.write_text(f"n=4\n{low} {low + 1}\n{low + 1} {low + 2}\n")
+        assert run(["stability", "--graph", str(graph), "--tau", "0.1"]) == 3
+        assert "found 2: graph is disconnected" in capsys.readouterr().err
+        side = json.loads((tmp_path / "huge.edges.idmap.json").read_text())
+        assert side == {"0": 0, str(low): 1, str(low + 1): 2, str(low + 2): 3}
+
     def test_dense_ids_identity_no_side_file(self, tmp_path):
         out_path = tmp_path / "report.json"
         code = run([

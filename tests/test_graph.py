@@ -238,15 +238,13 @@ def sequential_records(declared_n, records):
 
 
 def sequential_remap(records, declared_n):
-    """The CLI id remap and per-record loop as they once were, refusing more
-    distinct ids than a declared count: the oracle."""
+    """The CLI id remap and per-record loop, refusing more distinct ids than
+    a declared count and keeping a larger one, the unnamed nodes taking the
+    smallest free ids: the oracle."""
     ids = sorted({i for _, i, j, _ in records} | {j for _, i, j, _ in records})
-    max_id = ids[-1] if ids else -1
-    if ids == list(range(max_id + 1)):
-        if declared_n is not None and declared_n <= max_id:
+    if declared_n is not None and len(ids) > declared_n:
+        if ids == list(range(len(ids))):
             sequential_records(declared_n, records)  # raises as parse_edge_list does
-        ids = list(range(declared_n if declared_n is not None else max_id + 1))
-    elif declared_n is not None and len(ids) > declared_n:
         seen = []
         for line_no, i, j, _ in records:
             for x in (i, j):
@@ -254,6 +252,9 @@ def sequential_remap(records, declared_n):
                     seen.append(x)
                 if len(seen) > declared_n:
                     raise GraphParseError(f"line {line_no}: node id {x} is one too many for n={declared_n}")
+    if declared_n is not None:
+        free = [k for k in range(declared_n) if k not in ids]
+        ids = sorted(ids + free[: declared_n - len(ids)])
     if not ids:
         raise GraphError("node count must be a positive integer, got 0")
     to_internal = {orig: k for k, orig in enumerate(ids)}
@@ -348,6 +349,11 @@ class TestValidatorMatchesSequentialLoops:
     @example(header=None, rows=[(1, 3, None, ""), (3, 1, -1.0, "# c")], offset=10**6)
     @example(header=2, rows=[(0, 1, None, ""), (1, 2, None, "")], offset=0)
     @example(header=2, rows=[(5, 9, None, ""), (9, 11, None, "")], offset=0)
+    @example(header=12, rows=[(5, 9, None, ""), (9, 11, None, "")], offset=0)
+    @example(header=None, rows=[(0, 1, None, ""), (2, 3, None, "")], offset=2**63)
+    @example(header=3, rows=[(0, 1, None, ""), (2, 3, None, "")], offset=2**63)
+    @example(header=6, rows=[(0, 1, None, ""), (2, 3, None, "")], offset=2**63)
+    @example(header=6, rows=[(0, 1, None, ""), (2, 3, None, "")], offset=2**70)
     @given(header=st.none() | st.integers(1, 8), rows=records, offset=st.sampled_from([0, 3, 10**6]))
     def test_cli_remap(self, header, rows, offset):
         rows = [(i if i % 2 else i + offset, j, w, f) for i, j, w, f in rows]
