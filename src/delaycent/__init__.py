@@ -15,7 +15,6 @@ from .centrality import (
     RECEIVER,
     SENSOR,
     AdversarialAllocation,
-    NoiseSpec,
     NoiseStructure,
     adversarial_allocation,
     centrality_report,

@@ -54,11 +54,18 @@ ALL_STRUCTURES = tuple(NoiseStructure)
 DYNAMICS, SENSOR, RECEIVER, EMITTER, COMM_CHANNEL, MEASUREMENT = ALL_STRUCTURES
 
 
+def _member(structure) -> NoiseStructure:
+    """``structure`` itself: a ValueError, naming it, unless it is a member."""
+    if not isinstance(structure, NoiseStructure):
+        raise ValueError(f"structure must be a NoiseStructure member, got {structure!r}")
+    return structure
+
+
 def input_matrix(gm: GraphMatrices, structure: NoiseStructure) -> np.ndarray:
     """The dense input matrix B of the structure (D, D - L or the incidence E:
     +1 at each edge's smaller endpoint, -1 at the larger), for the simulator
     and ``verify``; no index uses it."""
-    if structure is DYNAMICS:
+    if _member(structure) is DYNAMICS:
         return np.eye(gm.n)
     if structure is SENSOR:
         return gm.laplacian.copy()
@@ -66,22 +73,22 @@ def input_matrix(gm: GraphMatrices, structure: NoiseStructure) -> np.ndarray:
         return np.diag(gm.degrees)
     if structure is EMITTER:
         return np.diag(gm.degrees) - gm.laplacian
-    if structure is COMM_CHANNEL or structure is MEASUREMENT:
-        b, e, g = np.zeros((gm.n, gm.num_edges)), np.arange(gm.num_edges), gm.graph
-        b[g.i, e], b[g.j, e] = 1.0, -1.0
-        return np.multiply(b, g.w, out=b) if structure is COMM_CHANNEL else np.negative(b, out=b)
-    raise ValueError(f"structure must be a NoiseStructure member, got {structure!r}")
+    b, e, g = np.zeros((gm.n, gm.num_edges)), np.arange(gm.num_edges), gm.graph  # link noise
+    b[g.i, e], b[g.j, e] = 1.0, -1.0
+    return np.multiply(b, g.w, out=b) if structure is COMM_CHANNEL else np.negative(b, out=b)
 
 
 def noise_channels(gm: GraphMatrices, structure: NoiseStructure) -> int:
     """Number of independent noise channels for this structure."""
-    return gm.num_edges if structure.indexes_links else gm.n
+    return gm.num_edges if _member(structure).indexes_links else gm.n
 
 
 def check_variances(variances, channels: int) -> np.ndarray:
     """``variances`` as a float vector of one finite, nonnegative real number
-    per noise channel; anything else, a string or a boolean included, raises
-    :class:`ValueError`."""
+    per noise channel, or ones for None; anything else, a string or a
+    boolean included, raises :class:`ValueError`."""
+    if variances is None:
+        return np.ones(channels)
     entries = np.array(variances, dtype=object)
     bad = [x for x in entries.flat if isinstance(x, bool) or not isinstance(x, Real)]
     if bad:
@@ -95,18 +102,6 @@ def check_variances(variances, channels: int) -> np.ndarray:
     if not (np.isfinite(var).all() and (var >= 0).all()):
         raise ValueError("variances must be finite and nonnegative")
     return var
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """A noise structure plus per-channel variances (defaults to all ones)."""
-
-    structure: NoiseStructure
-    variances: np.ndarray | None = None
-
-    def resolve_variances(self, gm: GraphMatrices) -> np.ndarray:
-        m = noise_channels(gm, self.structure)
-        return np.ones(m) if self.variances is None else check_variances(self.variances, m)
 
 
 def _delay_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,14 +118,14 @@ def centrality_kernel(dec: SpectralDecomposition, tau: float) -> np.ndarray:
     return kernel(dec, lambda lam: np.multiply(*_delay_terms(tau * lam)) / lam)
 
 
-def performance(gm: GraphMatrices, spec: NoiseSpec, tau: float) -> float:
+def performance(gm: GraphMatrices, structure: NoiseStructure, tau: float, variances=None) -> float:
     """Steady-state dispersion ``rho_ss = sigma^2 . eta`` (``sigma^2 . nu`` for
     link noise) of a connected, stable configuration, with the indices of
-    :func:`centrality_report`; variances are checked before the delay."""
-    var = spec.resolve_variances(gm)
+    :func:`centrality_report`; ``variances`` (ones by default) are checked before the delay."""
+    var = check_variances(variances, noise_channels(gm, structure))
     dec = gm.spectrum
     require_stable(dec, tau)
-    return float(_modal_power(gm, dec, spec.structure, [centrality_kernel(dec, tau)], 1.0)[0] @ var)
+    return float(_modal_power(gm, dec, structure, [centrality_kernel(dec, tau)], 1.0)[0] @ var)
 
 
 # Bytes per gathered block of the link modal power: under glibc's initial
@@ -196,7 +191,7 @@ def _reports(
     with every weight scaled by ``alpha``; all delays are checked first, and
     link noise on a graph with no edge is refused: it has nothing to rank."""
     infos = [require_stable(dec, t) for t in taus]
-    if structure.indexes_links and not gm.num_edges:
+    if _member(structure).indexes_links and not gm.num_edges:
         raise ValueError(f"graph has no edge to rank for {structure.value} noise")
     indices = _modal_power(gm, dec, structure, [centrality_kernel(dec, t) for t in taus], alpha)
     return [
@@ -207,7 +202,7 @@ def _reports(
 
 def node_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
     """Per-agent centrality eta for an agent-indexed noise structure."""
-    if structure.indexes_links:
+    if _member(structure).indexes_links:
         raise ValueError(
             f"node centrality needs an agent-indexed structure, got {structure.value}"
         )
@@ -216,7 +211,7 @@ def node_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) ->
 
 def link_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
     """Per-link centrality nu for a link-indexed noise structure."""
-    if not structure.indexes_links:
+    if not _member(structure).indexes_links:
         raise ValueError(
             f"link centrality needs a link-indexed structure, got {structure.value}"
         )
@@ -225,7 +220,7 @@ def link_centrality(gm: GraphMatrices, structure: NoiseStructure, tau: float) ->
 
 def centrality_report(gm: GraphMatrices, structure: NoiseStructure, tau: float) -> CentralityReport:
     """Dispatch to node or link centrality based on what the structure indexes."""
-    if structure.indexes_links:
+    if _member(structure).indexes_links:
         return link_centrality(gm, structure, tau)
     return node_centrality(gm, structure, tau)
 
@@ -240,7 +235,7 @@ def link_sensitivity(gm: GraphMatrices, structure: NoiseStructure, tau: float) -
     dec = gm.spectrum
     require_stable(dec, tau)
     dynamics = structure is DYNAMICS
-    if not dynamics and structure is not SENSOR:
+    if not dynamics and _member(structure) is not SENSOR:
         raise ValueError(
             f"link sensitivity is defined for dynamics and sensor noise, got {structure.value}"
         )

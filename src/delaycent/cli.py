@@ -27,6 +27,7 @@ from .graph import (
     GraphParseError,
     WeightedGraph,
     build_matrices,
+    id_array,
     tokenize_edge_lines,
 )
 from .report import CentralityReport
@@ -221,9 +222,7 @@ def remap_node_ids(records, declared_n: int | None) -> tuple[WeightedGraph, _IdM
     declared count are refused.
     """
     lines, i, j, w = list(zip(*records)) or [()] * 4
-    ends = np.array(i + j) if records else np.zeros(0, dtype=int)
-    if ends.dtype.kind == "f":  # int64 beside uint64 ids promotes to float: keep them exact
-        ends = np.array(i + j, dtype=object)
+    ends = id_array(i + j)
     ids, internal = np.unique(ends, return_inverse=True)
     if declared_n is not None and len(ids) > declared_n:
         if ids[-1] == len(ids) - 1:  # dense ids: refused as parse_edge_list refuses them
@@ -255,12 +254,6 @@ def _load_graph(args) -> tuple[GraphMatrices, _IdMap]:
         with _writing(side) as handle:
             handle.write(_to_json({str(orig): k for k, orig in enumerate(id_map.original)}) + "\n")
         print(f"note: sparse node ids remapped; map written to {side}", file=sys.stderr)
-    if getattr(args, "verbose", False):
-        print(
-            f"loaded {path}: n={graph.n}, edges={graph.num_edges},"
-            f" remapped={not id_map.identity}",
-            file=sys.stderr,
-        )
     return build_matrices(graph), id_map
 
 
@@ -377,7 +370,7 @@ def _cmd_sensitivity(args, gm, id_map):
 
 def _cmd_perf(args, gm, id_map):
     structure = ct.NoiseStructure.from_name(args.structure)
-    rho = ct.performance(gm, ct.NoiseSpec(structure, _load_sigma(args.sigma)), args.tau)
+    rho = ct.performance(gm, structure, args.tau, _load_sigma(args.sigma))
     info = stability_margin(gm.spectrum, args.tau)
     payload = {
         "tau": args.tau,
@@ -449,7 +442,7 @@ def _sim_config(args) -> oracles.SimConfig:
 
 def _cmd_simulate(args, gm, id_map):
     structure = ct.NoiseStructure.from_name(args.structure)
-    var = ct.NoiseSpec(structure, _load_sigma(args.sigma)).resolve_variances(gm)
+    var = ct.check_variances(_load_sigma(args.sigma), ct.noise_channels(gm, structure))
     result = oracles.simulate(gm, ct.input_matrix(gm, structure), var, _sim_config(args))
     payload = result.to_dict()
     if not id_map.identity:
@@ -465,12 +458,11 @@ def _cmd_verify(args, gm, id_map):
     if args.traj < 2:
         raise ValueError("verify needs at least two trajectories (--traj >= 2)")
     structure = ct.NoiseStructure.from_name(args.structure)
-    channels = np.ones(ct.noise_channels(gm, structure))
     b, cfg = ct.input_matrix(gm, structure), _sim_config(args)
     gm.spectrum  # one solve: the simulator's gate then reads it, as does the closed form
-    result = oracles.simulate(gm, b, channels, cfg)
+    result = oracles.simulate(gm, b, np.ones(b.shape[1]), cfg)
     # The run steps at the snapped delay, so the closed form is scored there too.
-    rho_closed = ct.performance(gm, ct.NoiseSpec(structure), result.tau_snapped)
+    rho_closed = ct.performance(gm, structure, result.tau_snapped)
     z = (result.rho_hat - rho_closed) / result.std_err if result.std_err else math.inf
     passed = math.isfinite(z) and abs(z) <= 3.0
     payload = {
@@ -513,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tau", type=float, default=0.0, help="communication delay")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", help="write report here instead of stdout")
-        p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("stability", help="stability boundary and margin at a delay")
     common(p, structure=False)

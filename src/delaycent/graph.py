@@ -55,12 +55,11 @@ def _canonical_edges(n: int, i, j, w, lines=None, names=None, malformed=None):
     Without ``lines`` the first edge that is a self-loop, leaves ``[0, n)``
     or has a weight that is not finite and positive is reported, else the
     error ``malformed`` of the triple after these edges, else the smallest
-    repeated pair.  With ``lines`` (records of an edge-list file)
-    the record on the lowest line is reported, a repeat with the line its
-    pair was first seen on.  ``names``, the ids as written for remapped
-    input, names the pair as written and ranks a repeat before a bad weight.
+    repeated pair.  With ``lines`` (records of an edge-list file) the record
+    on the lowest line is reported, for the first of those faults it has, a
+    repeat with the line its pair was first seen on; ``names``, the ids as
+    written for remapped input, name the pair as written.
     """
-    i, j, w = np.asarray(i), np.asarray(j), np.asarray(w, dtype=float)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     loop, out, bad_w = i == j, (lo < 0) | (hi >= n), ~(np.isfinite(w) & (w > 0.0))
     key_lo, key_hi = (np.where(out, -1, x).astype(np.intp) for x in (lo, hi))
@@ -96,8 +95,6 @@ def _canonical_edges(n: int, i, j, w, lines=None, names=None, malformed=None):
             (bad_w, f"non-positive weight {float(w[r])}"),
             (dup, f"duplicate edge ({a}, {b}), first seen on line {first}"),
         ]
-        if names is not None:
-            faults[2], faults[3] = faults[3], faults[2]
         message = next(text for mask, text in faults if mask[r])
         raise GraphParseError(f"line {lines[r]}: {message}")
     return lo_s, hi_s, w[order]
@@ -120,7 +117,13 @@ class WeightedGraph:
 
     @classmethod
     def from_arrays(cls, n: int, i, j, w, *, lines=None, names=None) -> "WeightedGraph":
-        """A graph from endpoint and weight arrays, validated by :func:`_canonical_edges`."""
+        """A graph from 1-d edge arrays of one length with integer endpoints, checked
+        by :func:`_canonical_edges` (ids of 2**63 and more come as an object array)."""
+        i, j, w = np.asarray(i), np.asarray(j), np.asarray(w, dtype=float)
+        if not (w.ndim == 1 and i.shape == j.shape == w.shape):
+            raise GraphError(f"edge arrays must be 1-d of one length, got shapes {i.shape}, {j.shape}, {w.shape}")
+        if not all(x.dtype.kind in "iu" or all(isinstance(v, (int, np.integer)) for v in x.tolist()) for x in (i, j)):
+            raise GraphError(f"edge endpoints must be integers, got arrays of {i.dtype} and {j.dtype}")
         graph = cls(n)
         graph._set(n, *_canonical_edges(n, i, j, w, lines=lines, names=names))
         return graph
@@ -149,14 +152,6 @@ class WeightedGraph:
     @property
     def num_edges(self) -> int:
         return len(self.w)
-
-    def weights(self) -> np.ndarray:
-        """Edge weights in canonical edge order."""
-        return self.w.copy()
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        """Endpoint pairs (i < j) in canonical edge order."""
-        return list(zip(self.i.tolist(), self.j.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +198,7 @@ class GraphMatrices:
         :class:`DisconnectedGraphError` and :class:`IllConditionedGraphError`,
         raised on every access."""
         connected = partial(is_connected, self.graph)
-        return decompose(self.laplacian, require_connected=True, vectors=vectors, connected=connected)
+        return decompose(self.laplacian, vectors=vectors, connected=connected)
 
 
 def build_matrices(g: WeightedGraph) -> GraphMatrices:
@@ -245,7 +240,13 @@ def check_scale(alpha: float) -> float:
     return alpha
 
 
-def tokenize_edge_lines(text: str | Iterable[str]):
+def id_array(ids: tuple) -> np.ndarray:
+    """Raw node ids as int64 or uint64 where one holds them all, else as Python ints, never float."""
+    array = np.array(ids, dtype=None if ids else int)
+    return np.array(ids, dtype=object) if array.dtype.kind == "f" else array
+
+
+def tokenize_edge_lines(text: str):
     """Split edge-list text into raw (line_no, i, j, w) records plus header count.
 
     Lines that are blank or start with ``#`` are skipped.  A line of the form
@@ -253,13 +254,9 @@ def tokenize_edge_lines(text: str | Iterable[str]):
     integers but are otherwise unconstrained, so callers may remap sparse ids
     before constructing a :class:`WeightedGraph`.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in text]
     declared_n: int | None = None
     records: list[tuple[int, int, int, float]] = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -300,7 +297,7 @@ def tokenize_edge_lines(text: str | Iterable[str]):
     return declared_n, records
 
 
-def parse_edge_list(text: str | Iterable[str]) -> WeightedGraph:
+def parse_edge_list(text: str) -> WeightedGraph:
     """Parse whitespace-separated ``i j [w]`` lines into a canonical graph.
 
     Weight defaults to 1.0.  Node count is ``1 + max id`` unless an ``n=<k>``
@@ -311,6 +308,6 @@ def parse_edge_list(text: str | Iterable[str]) -> WeightedGraph:
     if not records and declared_n is None:
         raise GraphParseError("no edges and no n= header: empty graph is not valid")
     lines, i, j, w = list(zip(*records)) or [()] * 4
-    ids = np.array(i + j)
+    ids = id_array(i + j)
     n = declared_n if declared_n is not None else int(ids.max(initial=-1)) + 1
     return WeightedGraph.from_arrays(n, ids[: len(i)], ids[len(i) :], w, lines=lines)

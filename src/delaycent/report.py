@@ -11,19 +11,17 @@ import numpy as np
 RANK_TOL_FACTOR = 1e-9
 
 
-def rank_with_ties(
-    indices: np.ndarray, tol_factor: float = RANK_TOL_FACTOR
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def rank_with_ties(indices: np.ndarray) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Descending ranking of ``indices`` with deterministic tie handling.
 
-    Ids whose indices differ by less than ``tol_factor * max|index|`` chain
-    into a tie group; within a group, ids ascend.  Returns the ranking
+    Ids whose indices differ by less than ``RANK_TOL_FACTOR * max|index|``
+    chain into a tie group; within a group, ids ascend.  Returns the ranking
     permutation and the tie groups (size >= 2 only) in rank order.
     """
     values = np.asarray(indices, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("indices must be a nonempty 1-d vector")
-    tol = tol_factor * float(np.max(np.abs(values)))
+    tol = RANK_TOL_FACTOR * float(np.max(np.abs(values)))
     order = np.argsort(-values, kind="stable")
     ranked = values[order]
     # A gap of at least tol after an id opens a new group; smaller gaps chain.

@@ -75,19 +75,16 @@ class SpectralDecomposition:
 
 
 def decompose(
-    matrix: np.ndarray,
-    require_connected: bool = False,
-    vectors: bool = True,
-    connected: Callable[[], bool] | None = None,
+    matrix: np.ndarray, vectors: bool = True, connected: Callable[[], bool] | None = None
 ) -> SpectralDecomposition:
     """Symmetric eigendecomposition with zero-mode clamping.
 
     Rejects matrices with asymmetry above 1e-10 or eigenvalues below the
     (relative) PSD tolerance.  Without ``vectors`` only the eigenvalues are
-    computed (``eigvalsh``), with the same checks.  With ``require_connected``
-    the decomposition must have exactly one zero mode; ``connected``, a test
-    of the graph's connectivity run only when it has not, sorts the failure
-    into :class:`DisconnectedGraphError` and :class:`IllConditionedGraphError`.
+    computed (``eigvalsh``), with the same checks.  With ``connected``, a test
+    of the graph's connectivity, the decomposition must have exactly one zero
+    mode; the test, run only when it has not, sorts the failure into
+    :class:`DisconnectedGraphError` and :class:`IllConditionedGraphError`.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -111,11 +108,9 @@ def decompose(
     dec = SpectralDecomposition(
         eigenvalues=clamped, eigenvectors=eigenvectors, zero_mode_count=zero_modes
     )
-    if require_connected and zero_modes != 1:
+    if connected is not None and zero_modes != 1:
         error, cause = DisconnectedGraphError, "graph is disconnected"
-        if connected is None:
-            cause += " or too weakly connected to resolve"
-        elif connected():
+        if connected():
             error = IllConditionedGraphError
             cause = "graph is connected, but lambda_2 falls under the zero-mode resolution"
         lam2 = float(eigenvalues[min(1, dec.n - 1)])

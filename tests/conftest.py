@@ -79,7 +79,7 @@ def dense_reference(g):
     return {
         "adjacency": adjacency,
         "incidence": incidence,
-        "weight_diag": np.diag(g.weights()) if m else np.zeros((0, 0)),
+        "weight_diag": np.diag(g.w) if m else np.zeros((0, 0)),
         "degree_diag": degree_diag,
         "laplacian": degree_diag - adjacency,
     }
@@ -93,7 +93,7 @@ def reference_input_matrix(g, name):
         "sensor": lambda: ref["laplacian"].copy(),
         "receiver": lambda: ref["degree_diag"].copy(),
         "emitter": lambda: ref["adjacency"].copy(),
-        "comm-channel": lambda: ref["incidence"] * g.weights(),
+        "comm-channel": lambda: ref["incidence"] * g.w,
         "measurement": lambda: -ref["incidence"],
     }[name]()
 
@@ -247,12 +247,12 @@ def edge_quadratic_form(matrix, e):
     return float(matrix[i, i] + matrix[j, j] - 2.0 * matrix[i, j])
 
 
-def reference_rank_with_ties(indices, tol_factor=RANK_TOL_FACTOR):
+def reference_rank_with_ties(indices):
     """The former ``rank_with_ties``: a Python sort by ``(-value, id)`` and a
     chain of neighbors closer than the tolerance.  The oracle for the
     vectorized ranking."""
     values = np.asarray(indices, dtype=float)
-    tol = tol_factor * float(np.max(np.abs(values)))
+    tol = RANK_TOL_FACTOR * float(np.max(np.abs(values)))
     order = sorted(range(values.size), key=lambda k: (-values[k], k))
     groups = [[order[0]]]
     for prev, cur in zip(order, order[1:]):

@@ -16,7 +16,6 @@ from delaycent import (
     RECEIVER,
     SENSOR,
     GraphError,
-    NoiseSpec,
     NoiseStructure,
     StabilityError,
     WeightedGraph,
@@ -62,7 +61,7 @@ LINK_STRUCTURES = (COMM_CHANNEL, MEASUREMENT)
 
 def generic_half_diag(gm, structure, tau):
     """Reference (1/2) diag(B^T K B) computed the blunt way."""
-    dec = decompose(gm.laplacian, require_connected=True)
+    dec = gm.spectrum
     k = assemble(dec, centrality_kernel(dec, tau))
     b = input_matrix(gm, structure)
     return 0.5 * np.diag(b.T @ k @ b)
@@ -81,8 +80,8 @@ def fd_kappa(g: WeightedGraph, structure, tau: float) -> np.ndarray:
     out = np.empty(g.num_edges)
     for e, (_, _, w) in enumerate(g.edges):
         h = 1e-5 * w
-        hi = performance(build_matrices(perturbed_edge(g, e, +h)), NoiseSpec(structure), tau)
-        lo = performance(build_matrices(perturbed_edge(g, e, -h)), NoiseSpec(structure), tau)
+        hi = performance(build_matrices(perturbed_edge(g, e, +h)), structure, tau)
+        lo = performance(build_matrices(perturbed_edge(g, e, -h)), structure, tau)
         out[e] = (hi - lo) / (2 * h)
     return out
 
@@ -111,9 +110,25 @@ class TestInputMatrix:
         np.testing.assert_allclose(input_matrix(triangle, MEASUREMENT), -incidence)
 
     @pytest.mark.parametrize("structure", ["dynamics", np.eye(3), None], ids=["name", "matrix", "none"])
-    def test_anything_but_a_member_is_refused(self, p3, structure):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda gm, structure, tau: input_matrix(gm, structure),
+            node_centrality,
+            link_centrality,
+            centrality_report,
+            performance,
+            link_sensitivity,
+            adversarial_allocation,
+            lambda gm, structure, tau: tau_sweep(gm, structure, [tau]),
+            lambda gm, structure, tau: scale_sweep(gm, structure, tau, [1.0]),
+        ],
+        ids=["input_matrix", "node", "link", "report", "performance", "sensitivity", "adversarial", "tau_sweep",
+             "scale_sweep"],
+    )
+    def test_anything_but_a_member_is_refused(self, p3, call, structure):
         with pytest.raises(ValueError, match="^structure must be a NoiseStructure member, got "):
-            input_matrix(p3, structure)
+            call(p3, structure, 0.1)
 
     def test_receiver_and_emitter(self, p3):
         np.testing.assert_allclose(input_matrix(p3, RECEIVER), np.diag([1.0, 2.0, 1.0]))
@@ -144,37 +159,36 @@ class TestInputMatrix:
 
 class TestPerformance:
     def test_k2_dynamics_no_delay(self, k2):
-        assert performance(k2, NoiseSpec(DYNAMICS), 0.0) == pytest.approx(0.25, abs=1e-14)
+        assert performance(k2, DYNAMICS, 0.0) == pytest.approx(0.25, abs=1e-14)
 
     def test_k2_dynamics_delay(self, k2):
         # Single mode at lam = 2: cos(0.4) / (4 (1 - sin 0.4)).
         expected = math.cos(0.4) / (4.0 * (1.0 - math.sin(0.4)))
-        got = performance(k2, NoiseSpec(DYNAMICS), 0.2)
+        got = performance(k2, DYNAMICS, 0.2)
         assert got == pytest.approx(expected, rel=1e-13)
         assert got == pytest.approx(0.3771244117804, rel=1e-10)
 
     def test_zero_variances_zero_dispersion(self, p3):
-        spec = NoiseSpec(DYNAMICS, np.zeros(3))
-        assert performance(p3, spec, 0.1) == 0.0
+        assert performance(p3, DYNAMICS, 0.1, np.zeros(3)) == 0.0
 
     def test_unstable_tau_rejected(self, k2):
         with pytest.raises(StabilityError):
-            performance(k2, NoiseSpec(DYNAMICS), math.pi / 4)
+            performance(k2, DYNAMICS, math.pi / 4)
 
     def test_variance_length_checked(self, p3):
         with pytest.raises(ValueError, match="shape"):
-            performance(p3, NoiseSpec(DYNAMICS, np.ones(2)), 0.0)
+            performance(p3, DYNAMICS, 0.0, np.ones(2))
         with pytest.raises(ValueError, match="nonnegative"):
-            performance(p3, NoiseSpec(DYNAMICS, np.array([1.0, -1.0, 1.0])), 0.0)
+            performance(p3, DYNAMICS, 0.0, np.array([1.0, -1.0, 1.0]))
 
     def test_link_spec_uses_edge_count(self, triangle):
-        rho = performance(triangle, NoiseSpec(MEASUREMENT, np.ones(3)), 0.0)
+        rho = performance(triangle, MEASUREMENT, 0.0, np.ones(3))
         assert rho == pytest.approx(1.0, rel=1e-12)  # 3 edges x 1/3
 
     @pytest.mark.parametrize("structure", ALL_STRUCTURES, ids=lambda s: s.value)
     def test_single_node_has_zero_dispersion(self, structure):
         # No nonzero mode, and for link noise no channel at all.
-        assert performance(build_matrices(parse_edge_list("n=1")), NoiseSpec(structure), 0.0) == 0.0
+        assert performance(build_matrices(parse_edge_list("n=1")), structure, 0.0) == 0.0
 
     @pytest.mark.parametrize("structure", ALL_STRUCTURES, ids=lambda s: s.value)
     @pytest.mark.parametrize("graph", ["ex1_graph", "ring_chord100"])
@@ -183,7 +197,7 @@ class TestPerformance:
         rng = np.random.default_rng(71)
         tau = 0.7 * math.pi / (2 * gm.spectrum.lambda_max)
         var = rng.uniform(0.5, 2.0, noise_channels(gm, structure))
-        rho = performance(gm, NoiseSpec(structure, var), tau)
+        rho = performance(gm, structure, tau, var)
         np.testing.assert_allclose(rho, dense_performance(gm, structure, var, tau), rtol=1e-13, atol=0)
 
 
@@ -280,7 +294,7 @@ class TestLinkSensitivity:
         for _ in range(6):
             g = random_connected_graph(rng, int(rng.integers(3, 9)))
             gm = build_matrices(g)
-            dec = decompose(gm.laplacian, require_connected=True)
+            dec = gm.spectrum
             tau_max = math.pi / (2 * dec.lambda_max)
             for tau in (0.0, 0.3 * tau_max):
                 kappa = link_sensitivity(gm, structure, tau)
@@ -294,7 +308,7 @@ class TestDecompositionIdentity:
         for _ in range(12):
             g = random_connected_graph(rng, int(rng.integers(3, 13)))
             gm = build_matrices(g)
-            dec = decompose(gm.laplacian, require_connected=True)
+            dec = gm.spectrum
             tau_max = math.pi / (2 * dec.lambda_max)
             for tau in (0.0, 0.4 * tau_max, 0.85 * tau_max):
                 for structure in ALL_STRUCTURES:
@@ -430,7 +444,7 @@ class TestMonotonicityAndPositivity:
         for _ in range(5):
             g = random_connected_graph(rng, int(rng.integers(3, 9)))
             gm = build_matrices(g)
-            dec = decompose(gm.laplacian, require_connected=True)
+            dec = gm.spectrum
             tau_max = math.pi / (2 * dec.lambda_max)
             grid = np.linspace(0.0, 0.9 * tau_max, 8)
             for structure in ALL_STRUCTURES:
@@ -462,7 +476,7 @@ class TestSymmetryProperties:
 
     def test_edge_transitive_links_equal(self):
         for gm in (build_matrices(complete_graph(5)), build_matrices(cycle_graph(6))):
-            dec = decompose(gm.laplacian, require_connected=True)
+            dec = gm.spectrum
             tau = 0.5 * math.pi / (2 * dec.lambda_max)
             for structure in LINK_STRUCTURES:
                 rep = link_centrality(gm, structure, tau)
@@ -475,7 +489,7 @@ class TestGenericVersusShortcuts:
         rng = np.random.default_rng(41)
         for _ in range(4):
             gm = build_matrices(random_connected_graph(rng, int(rng.integers(3, 9))))
-            dec = decompose(gm.laplacian, require_connected=True)
+            dec = gm.spectrum
             tau = 0.45 * math.pi / (2 * dec.lambda_max)
             rep = node_centrality(gm, structure, tau)
             ref = generic_half_diag(gm, structure, tau)
@@ -486,7 +500,7 @@ class TestGenericVersusShortcuts:
         rng = np.random.default_rng(43)
         for _ in range(4):
             gm = build_matrices(random_connected_graph(rng, int(rng.integers(3, 9))))
-            dec = decompose(gm.laplacian, require_connected=True)
+            dec = gm.spectrum
             tau = 0.45 * math.pi / (2 * dec.lambda_max)
             rep = link_centrality(gm, structure, tau)
             ref = generic_half_diag(gm, structure, tau)
@@ -498,7 +512,7 @@ class TestEmitter:
         rng = np.random.default_rng(47)
         for _ in range(5):
             gm = build_matrices(random_connected_graph(rng, int(rng.integers(3, 9))))
-            dec = decompose(gm.laplacian, require_connected=True)
+            dec = gm.spectrum
             tau = 0.4 * math.pi / (2 * dec.lambda_max)
             rep = node_centrality(gm, EMITTER, tau)
             degrees = np.diag(dense_reference(gm.graph)["degree_diag"])
@@ -512,7 +526,7 @@ class TestEmitter:
         tau = 0.1
         diag = emitter_display_diagnostic(p3, tau)
         assert diag.max_abs_diff > 1e-3
-        dec = decompose(p3.laplacian, require_connected=True)
+        dec = p3.spectrum
         c = kernel(dec, lambda lam: np.cos(tau * lam) / (1.0 - np.sin(tau * lam)))
         degrees = np.diag(dense_reference(p3.graph)["degree_diag"])
         gap = 0.5 * degrees * np.diag(assemble(dec, c))
@@ -524,7 +538,7 @@ class TestEmitter:
 def dense_edge_forms(gm, dec, values):
     """``(e_i - e_j)^T K (e_i - e_j)`` per edge, K assembled as an n x n matrix."""
     k = assemble(dec, values)
-    return np.array([edge_quadratic_form(k, e) for e in gm.graph.edge_pairs()])
+    return np.array([edge_quadratic_form(k, e) for e in zip(gm.graph.i, gm.graph.j)])
 
 
 SENSITIVITY_MAPS = {
@@ -542,7 +556,7 @@ class TestEdgeBlocks:
         gm = ring_chord100
         rows = centrality_module._edge_rows(gm.n - 1)
         assert rows < gm.num_edges and gm.num_edges % rows
-        dec = decompose(gm.laplacian, require_connected=True)
+        dec = gm.spectrum
         tau = 0.6 * math.pi / (2 * dec.lambda_max)
         forms = dense_edge_forms(gm, dec, centrality_kernel(dec, tau))
         for structure, s in ((MEASUREMENT, 1.0), (COMM_CHANNEL, gm.graph.w)):
@@ -552,7 +566,7 @@ class TestEdgeBlocks:
     @pytest.mark.parametrize("structure", [DYNAMICS, SENSOR])
     def test_link_sensitivity_matches_dense_kernel(self, ring_chord100, structure):
         gm = ring_chord100
-        dec = decompose(gm.laplacian, require_connected=True)
+        dec = gm.spectrum
         tau = 0.6 * math.pi / (2 * dec.lambda_max)
         ref = 0.5 * dense_edge_forms(gm, dec, kernel(dec, SENSITIVITY_MAPS[structure.value](tau)))
         kappa = link_sensitivity(gm, structure, tau)
@@ -594,7 +608,7 @@ class TestEdgeBlocks:
         block = 16
         monkeypatch.setattr(centrality_module, "_edge_rows", lambda modes: block)
         gm = build_matrices(ring_chord_graph(200, 3))
-        dec = decompose(gm.laplacian, require_connected=True)
+        dec = gm.spectrum
         tau = 0.5 * math.pi / (2 * dec.lambda_max)
         if structure.indexes_links:
             run = lambda: centrality_module._reports(gm, dec, structure, [tau])
@@ -616,12 +630,11 @@ class TestEdgeBlocks:
         block = 16
         monkeypatch.setattr(centrality_module, "_edge_rows", lambda modes: block)
         gm = build_matrices(ring_chord_graph(200, 3))
-        spec = NoiseSpec(structure)
         tau = 0.5 * math.pi / (2 * gm.spectrum.lambda_max)
-        performance(gm, spec, tau)  # outside the window, like the test above
+        performance(gm, structure, tau)  # outside the window, like the test above
         tracemalloc.start()
         try:
-            performance(gm, spec, tau)
+            performance(gm, structure, tau)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -672,7 +685,7 @@ class TestScaleSweep:
     def test_small_alpha_recovers_delay_free_ranking(self):
         rng = np.random.default_rng(59)
         gm = build_matrices(random_connected_graph(rng, 10, p=0.3))
-        dec = decompose(gm.laplacian, require_connected=True)
+        dec = gm.spectrum
         tau = 0.6 * math.pi / (2 * dec.lambda_max)
         result = scale_sweep(gm, DYNAMICS, tau, [1e-3])
         assert result.matches_baseline == [True]
@@ -691,7 +704,7 @@ class TestScaleSweep:
         # uniformly strengthening the couplings does change who ranks where.
         rng = np.random.default_rng(0)
         gm = build_matrices(random_connected_graph(rng, 10, p=0.3, weight_range=(1.0, 1.0)))
-        dec = decompose(gm.laplacian, require_connected=True)
+        dec = gm.spectrum
         tau = 0.5 * math.pi / (2 * dec.lambda_max)
         sweep = scale_sweep(gm, DYNAMICS, tau, [0.2, 1.0, 1.8])
         rankings = {r.ranking for r in sweep.reports}
@@ -763,7 +776,7 @@ class TestFlipBlocks:
         block = 16
         monkeypatch.setattr(centrality_module, "_FLIP_BLOCK", block)
         gm = build_matrices(ring_chord_graph(200, 3))
-        dec = decompose(gm.laplacian, require_connected=True)
+        dec = gm.spectrum
         tau_max = math.pi / (2 * dec.lambda_max)
         reports = centrality_module._reports(gm, dec, MEASUREMENT, [0.3 * tau_max, 0.6 * tau_max])
         centrality_module._rank_flips(reports)  # outside the window, as above
@@ -898,7 +911,7 @@ class TestAdversarialAllocation:
     def test_vertex_transitive_equals_uniform_performance(self, c4):
         tau = 0.2
         result = adversarial_allocation(c4, DYNAMICS, tau)
-        uniform = performance(c4, NoiseSpec(DYNAMICS), tau)
+        uniform = performance(c4, DYNAMICS, tau)
         assert result.worst_rho == pytest.approx(uniform, rel=1e-10)
 
     def test_link_structure_rejected(self, c4):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delaycent import DYNAMICS, NoiseSpec, NoiseStructure, build_matrices, parse_edge_list, performance
+from delaycent import DYNAMICS, NoiseStructure, build_matrices, parse_edge_list, performance
 from delaycent.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -148,7 +148,7 @@ def test_verify_scores_the_closed_form_at_the_snapped_delay():
     assert code in (0, 4), err
     payload = json.loads(out)
     k2 = build_matrices(parse_edge_list("0 1"))
-    assert payload["rho_closed_form"] == float(f"{performance(k2, NoiseSpec(DYNAMICS), 0.778):.12g}")
+    assert payload["rho_closed_form"] == float(f"{performance(k2, DYNAMICS, 0.778):.12g}")
     assert payload["tau"] == 0.7775 and payload["tau_snapped"] == 0.778
     assert "at tau_snapped = 0.778" in err
 

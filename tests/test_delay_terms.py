@@ -13,7 +13,6 @@ import pytest
 from delaycent import (
     DYNAMICS,
     SENSOR,
-    NoiseSpec,
     build_matrices,
     link_sensitivity,
     parse_edge_list,
@@ -39,7 +38,7 @@ def test_single_edge_matches_50_digit_reference(edge, margin):
     k, kappa_dyn, kappa_sens = mp_first_order_maps(tau, dec.lambda_max)
     pairs = {
         "K": (centrality_kernel(dec, tau)[1], k),
-        "rho dynamics": (performance(gm, NoiseSpec(DYNAMICS), tau), k / 2),
+        "rho dynamics": (performance(gm, DYNAMICS, tau), k / 2),
         "kappa dynamics": (link_sensitivity(gm, DYNAMICS, tau)[0], kappa_dyn),
         "kappa sensor": (link_sensitivity(gm, SENSOR, tau)[0], kappa_sens),
     }

@@ -101,6 +101,34 @@ class TestWeightedGraph:
         with pytest.raises(GraphError, match="weight"):
             WeightedGraph(n=2, edges=((0, 1, 0.0),))
 
+    @pytest.mark.parametrize(
+        "i,j,w,match",
+        [
+            ([0.5, 1.9], [1.7, 2.2], [1.0, 1.0], "endpoints must be integers"),  # once truncated
+            ([0, 1], [1.0, 2.0], [1.0, 1.0], "endpoints must be integers"),
+            (np.array([0, 1.5], dtype=object), [1, 2], [1.0, 1.0], "endpoints must be integers"),
+            ([0], [1], [1.0, 2.0], "of one length"),  # once dropped the extra weight
+            ([0, 1], [1, 2], [1.0], "of one length"),  # once a bare IndexError
+            ([0, 1], [1], [1.0, 1.0], "of one length"),
+            ([[0, 1]], [[1, 2]], [[1.0, 1.0]], "1-d"),
+            (0, 1, 1.0, "1-d"),
+        ],
+        ids=["float", "integral-float", "object-float", "long-w", "short-w", "short-j", "2-d", "0-d"],
+    )
+    def test_from_arrays_refuses_malformed_arrays(self, i, j, w, match):
+        with pytest.raises(GraphError, match=match):
+            WeightedGraph.from_arrays(3, i, j, w)
+
+    def test_from_arrays_takes_python_int_ids_exactly(self):
+        ends = np.array([0, 1], dtype=object), np.array([1, 2], dtype=object)
+        assert WeightedGraph.from_arrays(3, *ends, [1.0, 2.0]).edges == ((0, 1, 1.0), (1, 2, 2.0))
+        big = np.array([0, 2**70], dtype=object), np.array([1, 2], dtype=object)
+        with pytest.raises(GraphError, match=rf"^edge \({2**70}, 2\) references a node id outside"):
+            WeightedGraph.from_arrays(3, *big, [1.0, 1.0])
+        # int64 beside uint64 ids: named exactly, not rounded through float
+        with pytest.raises(GraphParseError, match=rf"^line 3: node id {2**63} >= declared node count 3$"):
+            parse_edge_list(f"n=3\n0 1\n1 {2**63}\n")
+
     def test_header_only_graph_is_edgeless(self):
         g = parse_edge_list("n=3\n")
         assert g.n == 3 and g.num_edges == 0
@@ -138,9 +166,9 @@ class TestBuildMatrices:
             incidence = -input_matrix(gm, MEASUREMENT)
             assert np.array_equal(np.diag(degree_diag), gm.degrees)
             assert np.max(np.abs(lap - (degree_diag - adjacency))) <= 1e-12
-            ewet = incidence @ np.diag(g.weights()) @ incidence.T
+            ewet = incidence @ np.diag(g.w) @ incidence.T
             assert np.max(np.abs(lap - ewet)) <= 1e-12
-            assert np.array_equal(input_matrix(gm, COMM_CHANNEL), incidence @ np.diag(g.weights()))
+            assert np.array_equal(input_matrix(gm, COMM_CHANNEL), incidence @ np.diag(g.w))
             np.testing.assert_allclose(lap @ np.ones(g.n), 0.0, atol=1e-12)
             eigs = np.linalg.eigvalsh(lap)
             assert eigs[0] >= -1e-9 * max(1.0, eigs[-1])
@@ -192,8 +220,6 @@ class TestArrayLayer:
         assert g.i.tolist() == [0, 0, 1] and g.j.tolist() == [1, 2, 3]
         assert g.w.tolist() == [2.0, 1.5, 0.5]
         assert g.edges == ((0, 1, 2.0), (0, 2, 1.5), (1, 3, 0.5))
-        assert g.edge_pairs() == [(0, 1), (0, 2), (1, 3)]
-        assert g.weights().tolist() == [2.0, 1.5, 0.5]
         with pytest.raises(ValueError):
             g.w[0] = 9.0
         same = WeightedGraph(n=4, edges=((1, 0, 2.0), (1, 3, 0.5), (2, 0, 1.5)))
@@ -264,13 +290,13 @@ def sequential_remap(records, declared_n):
         a, b = to_internal[i], to_internal[j]
         if a == b:
             raise GraphError(f"line {line_no}: self-loop at node {i}")
+        if not (np.isfinite(w) and w > 0.0):
+            raise GraphError(f"line {line_no}: non-positive weight {w}")
         key = (min(a, b), max(a, b))
         if key in seen:
             raise GraphError(
                 f"line {line_no}: duplicate edge ({i}, {j}), first seen on line {seen[key]}"
             )
-        if not (np.isfinite(w) and w > 0.0):
-            raise GraphError(f"line {line_no}: non-positive weight {w}")
         seen[key] = line_no
         edges.append((key[0], key[1], w))
     return len(ids), tuple(sorted(edges)), ids
@@ -390,12 +416,14 @@ class TestValidatorMatchesSequentialLoops:
         with pytest.raises(GraphParseError, match=r"^line 5: duplicate edge \(1, 2\), first seen on line 2$"):
             parse_edge_list("# x\n2 1\n\n0 1\n1 2 0.5\n")
 
-    def test_repeat_outranks_bad_weight_on_cli_records(self):
+    def test_bad_weight_outranks_repeat_on_both_routes(self):
         declared_n, recs = tokenize_edge_lines("5 9\n9 5 -1\n")
-        with pytest.raises(GraphError, match=r"^line 2: duplicate edge \(9, 5\), first seen on line 1$"):
+        with pytest.raises(GraphParseError, match=r"^line 2: non-positive weight -1.0$"):
             remap_node_ids(recs, declared_n)
         with pytest.raises(GraphParseError, match=r"^line 2: non-positive weight -1.0$"):
             parse_edge_list("5 9\n9 5 -1\n")
+        with pytest.raises(GraphParseError, match=r"^line 2: duplicate edge \(9, 5\), first seen on line 1$"):
+            remap_node_ids(tokenize_edge_lines("5 9\n9 5 2\n")[1], None)
 
 
 class TestConnectivity:
@@ -414,7 +442,7 @@ class TestConnectivity:
     def test_matches_depth_first_search(self):
         def dfs_connected(g):
             neighbors = [[] for _ in range(g.n)]
-            for i, j in g.edge_pairs():
+            for i, j in zip(g.i.tolist(), g.j.tolist()):
                 neighbors[i].append(j)
                 neighbors[j].append(i)
             seen, stack = {0}, [0]
@@ -460,5 +488,5 @@ class TestScaleWeights:
             np.testing.assert_allclose(gs.laplacian, alpha * gm.laplacian)
             np.testing.assert_allclose(input_matrix(gs, EMITTER), alpha * input_matrix(gm, EMITTER))
             np.testing.assert_allclose(gs.degrees, alpha * gm.degrees)
-            np.testing.assert_allclose(gs.graph.weights(), alpha * g.weights())
+            np.testing.assert_allclose(gs.graph.w, alpha * g.w)
             np.testing.assert_array_equal(input_matrix(gs, MEASUREMENT), input_matrix(gm, MEASUREMENT))

@@ -10,7 +10,6 @@ from delaycent import (
     DYNAMICS,
     MEASUREMENT,
     SENSOR,
-    NoiseSpec,
     SimConfig,
     SimulationError,
     StabilityError,
@@ -227,7 +226,7 @@ class TestSimulate:
     def test_matches_closed_form_k2(self, k2):
         cfg = SimConfig(tau=0.2, dt=2e-3, burn_in=20.0, horizon=150.0, n_traj=16, seed=101)
         res = simulate(k2, np.eye(2), np.ones(2), cfg)
-        closed = performance(k2, NoiseSpec(DYNAMICS), 0.2)
+        closed = performance(k2, DYNAMICS, 0.2)
         assert abs(res.rho_hat - closed) <= 3.0 * res.std_err
 
     def test_dt_refinement_bias_within_noise(self, k2):
@@ -248,7 +247,7 @@ class TestOracleAgreementAllStructures:
             cfg = SimConfig(tau=tau, seed=201)
             var = np.ones(noise_channels(gm, structure))
             res = simulate(gm, input_matrix(gm, structure), var, cfg)
-            closed = performance(gm, NoiseSpec(structure), tau)
+            closed = performance(gm, structure, tau)
             assert abs(res.rho_hat - closed) <= 3.0 * res.std_err, structure.value
             assert res.std_err <= 0.05 * closed, structure.value
 

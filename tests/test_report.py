@@ -12,9 +12,9 @@ from delaycent.report import RANK_TOL_FACTOR, rank_with_ties
 from conftest import reference_rank_with_ties
 
 
-def _same_as_reference(values, tol_factor=RANK_TOL_FACTOR):
-    got = rank_with_ties(values, tol_factor)
-    assert got == reference_rank_with_ties(values, tol_factor)
+def _same_as_reference(values):
+    got = rank_with_ties(values)
+    assert got == reference_rank_with_ties(values)
     ranking, tie_groups = got
     assert all(type(k) is int for k in ranking)
     assert all(type(k) is int for g in tie_groups for k in g)
@@ -34,9 +34,9 @@ vectors = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(vectors, st.sampled_from([RANK_TOL_FACTOR, 0.0, 1e-6, 0.5]))
-def test_matches_reference(values, tol_factor):
-    _same_as_reference(values, tol_factor)
+@given(vectors)
+def test_matches_reference(values):
+    _same_as_reference(values)
 
 
 @pytest.mark.parametrize(

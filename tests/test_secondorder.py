@@ -183,7 +183,7 @@ class TestClosedForm:
 
 
 def _eigenvalues(gm):
-    return decompose(gm.laplacian, require_connected=True).nonzero_eigenvalues()
+    return gm.spectrum.nonzero_eigenvalues()
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from delaycent import (
     SpectralError,
     build_matrices,
     decompose,
+    is_connected,
     kernel,
     parse_edge_list,
     stability_margin,
@@ -42,7 +44,7 @@ class TestDecompose:
             assert np.max(np.abs(rebuilt - gm.laplacian)) <= 1e-9 * max(1.0, dec.lambda_max)
 
     def test_connected_zero_eigenvector_is_uniform(self, p3):
-        dec = decompose(p3.laplacian, require_connected=True)
+        dec = p3.spectrum
         uniform = np.full(3, 1.0 / math.sqrt(3))
         q0 = dec.eigenvectors[:, 0]
         assert min(np.max(np.abs(q0 - uniform)), np.max(np.abs(q0 + uniform))) <= 1e-8
@@ -61,12 +63,13 @@ class TestDecompose:
         with pytest.raises(SpectralError, match=r"max asymmetry 1\.000e-09"):
             decompose(far)
 
-    @pytest.mark.parametrize("require_connected", [False, True])
-    def test_eigenvalues_only_matches_full(self, require_connected):
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_eigenvalues_only_matches_full(self, checked):
         rng = np.random.default_rng(12)
         gm = build_matrices(random_connected_graph(rng, 9))
-        full = decompose(gm.laplacian, require_connected=require_connected)
-        values = decompose(gm.laplacian, require_connected=require_connected, vectors=False)
+        connected = partial(is_connected, gm.graph) if checked else None
+        full = decompose(gm.laplacian, connected=connected)
+        values = decompose(gm.laplacian, vectors=False, connected=connected)
         assert values.eigenvectors is None
         assert values.zero_mode_count == full.zero_mode_count == 1
         np.testing.assert_allclose(values.eigenvalues, full.eigenvalues, rtol=1e-12, atol=1e-12)
@@ -78,7 +81,7 @@ class TestDecompose:
     def test_require_connected_on_two_components(self):
         gm = build_matrices(parse_edge_list("0 1\n2 3"))
         with pytest.raises(DisconnectedGraphError):
-            decompose(gm.laplacian, require_connected=True)
+            decompose(gm.laplacian, connected=partial(is_connected, gm.graph))
 
     def test_scaling_preserves_eigenspaces(self):
         rng = np.random.default_rng(9)
@@ -217,13 +220,13 @@ class TestEdgeQuadraticForm:
     def test_triangle_resistance(self, triangle):
         dec = decompose(triangle.laplacian)
         lpinv = assemble(dec, kernel(dec, lambda lam: 1.0 / lam))
-        for pair in triangle.graph.edge_pairs():
+        for pair in zip(triangle.graph.i, triangle.graph.j):
             assert edge_quadratic_form(lpinv, pair) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_tree_edge_resistance_is_one(self, star5):
         dec = decompose(star5.laplacian)
         lpinv = assemble(dec, kernel(dec, lambda lam: 1.0 / lam))
-        for pair in star5.graph.edge_pairs():
+        for pair in zip(star5.graph.i, star5.graph.j):
             assert edge_quadratic_form(lpinv, pair) == pytest.approx(1.0, abs=1e-12)
 
     def test_centering_matrix_value(self):

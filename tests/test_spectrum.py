@@ -9,6 +9,7 @@ one, else the eigenvalues alone.
 """
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +49,16 @@ class TestOneDecompositionPerGraph:
         gm = dc.build_matrices(dc.parse_edge_list("0 1\n1 2\n"))
         assert dc.stability_margin(gm.spectrum, tau=0.3).stable
         dc.node_centrality(gm, dc.DYNAMICS, tau=0.3)
-        dc.performance(gm, dc.NoiseSpec(dc.SENSOR), tau=0.3)
+        dc.performance(gm, dc.SENSOR, tau=0.3)
         dc.link_sensitivity(gm, dc.DYNAMICS, tau=0.3)
         dc.simulate(gm, dc.input_matrix(gm, dc.DYNAMICS), [1.0, 1.0, 1.0], dc.SimConfig(tau=0.3, **SHORT))
+        assert solves == ["eigh"]
+
+    def test_readme_quick_start_runs_verbatim(self, solves, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"^## Library quick start\n.*?^```python\n(.*?)^```", readme, re.S | re.M)
+        exec(compile(block.group(1), "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines()[0].endswith(" True")  # info.stable
         assert solves == ["eigh"]
 
     def test_cli_verify(self, solves, capsys):
@@ -167,7 +175,7 @@ def test_graph_matrices_compare_and_hash_by_identity(solves):
 def test_disconnected_spectrum_raises_on_every_access(solves):
     gm = dc.build_matrices(graph_from_edges(4, [(0, 1), (2, 3)]))
     with pytest.raises(dc.DisconnectedGraphError) as direct:
-        dc.decompose(gm.laplacian, require_connected=True, connected=lambda: dc.is_connected(gm.graph))
+        dc.decompose(gm.laplacian, connected=lambda: dc.is_connected(gm.graph))
     for _ in range(2):
         for route in ("spectrum", "eigenvalue_spectrum"):
             with pytest.raises(dc.DisconnectedGraphError) as exc:
