@@ -153,8 +153,8 @@ def _modal_power(
     d_i - lam (A = D - L), and a link column is ``q_i - q_j`` up to s,
     squared :func:`_edge_rows` edges at a time (each gather under 128 KiB)
     with one product per g per block."""
-    q = dec.eigenvectors[:, dec.zero_mode_count :]
-    gs = [g[dec.zero_mode_count :] for g in gs]
+    q = dec.eigenvectors[:, 1:]
+    gs = [g[1:] for g in gs]
     if structure.indexes_links:
         out = np.empty((len(gs), gm.num_edges))
         block = _edge_rows(q.shape[1])

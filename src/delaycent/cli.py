@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any, Sequence
@@ -28,6 +28,7 @@ from .graph import (
     WeightedGraph,
     build_matrices,
     id_array,
+    require_connected,
     tokenize_edge_lines,
 )
 from .report import CentralityReport
@@ -165,10 +166,6 @@ def _json_parts(obj: Any, nl: str):
         yield nl + "]"
 
 
-def _to_json(obj: Any) -> str:
-    return "".join(_json_parts(obj, "\n"))
-
-
 def _csv_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -177,29 +174,23 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-@contextmanager
-def _writing(path: str | Path | None):
-    """A text handle on ``path`` (stdout when None); any OSError opening or
-    writing it becomes a usage error that names the path."""
-    try:
-        with (open(path, "w", newline="") if path else nullcontext(sys.stdout)) as handle:
-            yield handle
-    except OSError as exc:
-        raise ValueError(f"cannot write {path or 'standard output'}: {exc}") from exc
-
-
 def _emit(payload: dict, header, rows, fmt: str, output: str | None) -> None:
-    """Write one report.  JSON is written piece by piece, int rows in blocks,
-    and CSV row by row, so a long sweep never holds its whole report as text."""
-    with _writing(output) as handle:
-        if fmt == "json":
-            handle.writelines(_json_parts(payload, "\n"))
-            handle.write("\n")
-            return
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+    """Write one report to ``output`` (stdout when None).  JSON is written
+    piece by piece, int rows in blocks, and CSV row by row, so a long sweep
+    never holds its whole report as text.  Any OSError opening or writing
+    the output becomes a usage error that names it."""
+    try:
+        with (open(output, "w", newline="") if output else nullcontext(sys.stdout)) as handle:
+            if fmt == "json":
+                handle.writelines(_json_parts(payload, "\n"))
+                handle.write("\n")
+                return
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_csv_cell(v) for v in row])
+    except OSError as exc:
+        raise ValueError(f"cannot write {output or 'standard output'}: {exc}") from exc
 
 
 class _IdMap:
@@ -248,12 +239,9 @@ def _load_graph(args) -> tuple[GraphMatrices, _IdMap]:
     declared_n, records = tokenize_edge_lines(text)
     if not records and declared_n is None:
         raise GraphError(f"graph file {path} contains no edges and no n= header")
+    if declared_n is not None:
+        require_connected(declared_n, len(records))  # before ids are padded to the declared count
     graph, id_map = remap_node_ids(records, declared_n)
-    if not id_map.identity:
-        side = Path(args.output + ".idmap.json") if args.output else path.with_suffix(path.suffix + ".idmap.json")
-        with _writing(side) as handle:
-            handle.write(_to_json({str(orig): k for k, orig in enumerate(id_map.original)}) + "\n")
-        print(f"note: sparse node ids remapped; map written to {side}", file=sys.stderr)
     return build_matrices(graph), id_map
 
 

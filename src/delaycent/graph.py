@@ -11,12 +11,12 @@ computes no eigenvector where only eigenvalues are read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .spectral import SpectralDecomposition, decompose
+from .spectral import DisconnectedGraphError, SpectralDecomposition, decompose
 
 
 class GraphError(ValueError):
@@ -52,29 +52,33 @@ def _canonical_edges(n: int, i, j, w, lines=None, names=None, malformed=None):
     """Validate edges given as arrays and return them canonical: endpoints
     ``i < j`` (intp), sorted by ``(i, j)``, with their weights.
 
-    Without ``lines`` the first edge that is a self-loop, leaves ``[0, n)``
-    or has a weight that is not finite and positive is reported, else the
-    error ``malformed`` of the triple after these edges, else the smallest
-    repeated pair.  With ``lines`` (records of an edge-list file) the record
-    on the lowest line is reported, for the first of those faults it has, a
-    repeat with the line its pair was first seen on; ``names``, the ids as
-    written for remapped input, name the pair as written.
+    Without ``lines`` the first edge that is a self-loop, leaves ``[0, n)``,
+    names an id that does not fit ``intp`` or has a weight that is not finite
+    and positive is reported, else the error ``malformed`` of the triple
+    after these edges, else the smallest repeated pair.  With ``lines``
+    (records of an edge-list file) the record on the lowest line is
+    reported, for the first of those faults it has, a repeat with the line
+    its pair was first seen on; ``names``, the ids as written for remapped
+    input, name the pair as written.
     """
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     loop, out, bad_w = i == j, (lo < 0) | (hi >= n), ~(np.isfinite(w) & (w > 0.0))
-    key_lo, key_hi = (np.where(out, -1, x).astype(np.intp) for x in (lo, hi))
+    wide = hi > np.iinfo(np.intp).max
+    key_lo, key_hi = (np.where(out | wide, -1, x).astype(np.intp) for x in (lo, hi))
     order = np.lexsort((key_hi, key_lo))
     lo_s, hi_s = key_lo[order], key_hi[order]
     repeat = np.zeros(len(order), dtype=bool)
     repeat[1:] = (lo_s[1:] == lo_s[:-1]) & (hi_s[1:] == hi_s[:-1])
     if lines is None:
-        bad = np.flatnonzero(loop | out | bad_w)
+        bad = np.flatnonzero(loop | out | wide | bad_w)
         if bad.size:
             r = bad[0]
             if loop[r]:
                 raise GraphError(f"self-loop at node {i[r]}")
             if out[r]:
                 raise GraphError(f"edge ({i[r]}, {j[r]}) references a node id outside [0, {n})")
+            if wide[r]:
+                raise GraphError(f"edge ({i[r]}, {j[r]}): node id {hi[r]} does not fit intp")
             raise GraphError(f"edge ({i[r]}, {j[r]}) has non-positive weight {float(w[r])}")
         if malformed:
             raise GraphError(malformed)
@@ -84,7 +88,7 @@ def _canonical_edges(n: int, i, j, w, lines=None, names=None, malformed=None):
         return lo_s, hi_s, w[order]
     dup = np.zeros_like(repeat)
     dup[order] = repeat
-    bad = np.flatnonzero(loop | out | bad_w | dup)
+    bad = np.flatnonzero(loop | out | wide | bad_w | dup)
     if bad.size:
         r = bad[0]
         a, b = (lo[r], hi[r]) if names is None else (names[i[r]], names[j[r]])
@@ -92,6 +96,7 @@ def _canonical_edges(n: int, i, j, w, lines=None, names=None, malformed=None):
         faults = [
             (loop, f"self-loop at node {a}"),
             (out, f"node id {b} >= declared node count {n}"),
+            (wide, f"node id {b} does not fit intp"),
             (bad_w, f"non-positive weight {float(w[r])}"),
             (dup, f"duplicate edge ({a}, {b}), first seen on line {first}"),
         ]
@@ -163,7 +168,8 @@ class GraphMatrices:
     ``verify`` ask :func:`delaycent.centrality.input_matrix`.
     The eigendecomposition is cached once per graph: :attr:`spectrum` with
     eigenvectors for the indices, :attr:`eigenvalue_spectrum` without them
-    where none is read.
+    where none is read.  :func:`build_matrices` builds them only for a
+    connected graph, so its Laplacian has one zero mode.
     """
 
     graph: WeightedGraph
@@ -181,7 +187,7 @@ class GraphMatrices:
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
         """The Laplacian's eigendecomposition, computed on first access."""
-        return self._decompose(vectors=True)
+        return decompose(self.laplacian)
 
     @cached_property
     def eigenvalue_spectrum(self) -> SpectralDecomposition:
@@ -190,22 +196,17 @@ class GraphMatrices:
         read no eigenvector, such as the stability boundary."""
         if "spectrum" in self.__dict__:
             return self.spectrum
-        return self._decompose(vectors=False)
-
-    def _decompose(self, vectors: bool) -> SpectralDecomposition:
-        """The one solve and failure path of both routes: without exactly one
-        zero mode, :func:`is_connected` (O(m)) decides between
-        :class:`DisconnectedGraphError` and :class:`IllConditionedGraphError`,
-        raised on every access."""
-        connected = partial(is_connected, self.graph)
-        return decompose(self.laplacian, vectors=vectors, connected=connected)
+        return decompose(self.laplacian, vectors=False)
 
 
 def build_matrices(g: WeightedGraph) -> GraphMatrices:
-    """The Laplacian ``D - A`` and the degrees, filled from the edge arrays
-    into one n x n array: degrees are row sums of ``A``, then ``A`` is negated
-    in place (``+ 0.0`` keeps zeros unsigned) and takes them as its diagonal.
-    Both are read-only, so :attr:`GraphMatrices.spectrum` cannot go stale."""
+    """The Laplacian ``D - A`` and the degrees of a connected graph, filled
+    from the edge arrays into one n x n array: degrees are row sums of ``A``,
+    then ``A`` is negated in place (``+ 0.0`` keeps zeros unsigned) and takes
+    them as its diagonal.  Both are read-only, so :attr:`GraphMatrices.spectrum`
+    cannot go stale.  A disconnected graph is refused first, before that
+    array exists (:func:`require_connected`)."""
+    require_connected(g.n, g.num_edges, g)
     lap = np.zeros((g.n, g.n))
     lap[g.i, g.j] = g.w
     lap[g.j, g.i] = g.w
@@ -215,6 +216,15 @@ def build_matrices(g: WeightedGraph) -> GraphMatrices:
     lap[np.diag_indices(g.n)] = degrees
     lap.flags.writeable = degrees.flags.writeable = False
     return GraphMatrices(graph=g, laplacian=lap, degrees=degrees)
+
+
+def require_connected(n: int, m: int, g: WeightedGraph | None = None) -> None:
+    """Raise :class:`DisconnectedGraphError` for a graph of ``n`` nodes and
+    ``m`` edges that is not connected: under n - 1 edges, decided in O(1)
+    from the counts alone; otherwise, given the graph ``g``, by
+    :func:`is_connected` in O(m)."""
+    if m < n - 1 or g is not None and not is_connected(g):
+        raise DisconnectedGraphError(f"graph is disconnected ({n} nodes, {m} edge{'s' * (m != 1)})")
 
 
 def is_connected(g: WeightedGraph) -> bool:

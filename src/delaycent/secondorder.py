@@ -155,7 +155,7 @@ def so_node_centrality(gm: GraphMatrices, cfg: SecondOrderConfig) -> CentralityR
     """
     dec = gm.spectrum
     f_vals = _f_per_eigenvalue(dec.nonzero_eigenvalues(), cfg)
-    q = dec.eigenvectors[:, dec.zero_mode_count :]
+    q = dec.eigenvectors[:, 1:]
     eta = (q**2) @ f_vals
     return make_report(
         cfg.tau,

@@ -30,7 +30,7 @@ class SpectralError(ValueError):
 
 
 class DisconnectedGraphError(SpectralError):
-    """Operation requires a connected graph (exactly one zero mode)."""
+    """The graph's edges do not connect all of its nodes."""
 
 
 class IllConditionedGraphError(DisconnectedGraphError):
@@ -51,16 +51,14 @@ class StabilityError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues of a symmetric PSD matrix, ascending, and their
+    """Eigenvalues of a connected graph's Laplacian, ascending, and their
     eigenvectors as columns (None when only the eigenvalues were computed).
 
-    Eigenvalues within ``ZERO_REL_TOL * max(1, lambda_max)`` of zero are
-    clamped to exactly 0 and counted in ``zero_mode_count``.
+    The first eigenvalue is the one zero mode, clamped to exactly 0.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    zero_mode_count: int
 
     @property
     def n(self) -> int:
@@ -71,20 +69,19 @@ class SpectralDecomposition:
         return float(self.eigenvalues[-1])
 
     def nonzero_eigenvalues(self) -> np.ndarray:
-        return self.eigenvalues[self.zero_mode_count :]
+        return self.eigenvalues[1:]
 
 
-def decompose(
-    matrix: np.ndarray, vectors: bool = True, connected: Callable[[], bool] | None = None
-) -> SpectralDecomposition:
-    """Symmetric eigendecomposition with zero-mode clamping.
+def decompose(matrix: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
+    """Symmetric eigendecomposition of a connected graph's Laplacian.
 
     Rejects matrices with asymmetry above 1e-10 or eigenvalues below the
     (relative) PSD tolerance.  Without ``vectors`` only the eigenvalues are
-    computed (``eigvalsh``), with the same checks.  With ``connected``, a test
-    of the graph's connectivity, the decomposition must have exactly one zero
-    mode; the test, run only when it has not, sorts the failure into
-    :class:`DisconnectedGraphError` and :class:`IllConditionedGraphError`.
+    computed (``eigvalsh``), with the same checks.  Connectivity is decided
+    from the edges before the Laplacian is built (see
+    :func:`delaycent.graph.build_matrices`), so a zero-mode count other than
+    one means lambda_2 falls under the zero-mode resolution:
+    :class:`IllConditionedGraphError`.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -103,23 +100,17 @@ def decompose(
         raise SpectralError(
             f"matrix is not positive semidefinite (lambda_min={eigenvalues[0]:.3e})"
         )
-    clamped = np.where(np.abs(eigenvalues) < tol, 0.0, eigenvalues)
-    zero_modes = int(np.count_nonzero(clamped == 0.0))
-    dec = SpectralDecomposition(
-        eigenvalues=clamped, eigenvectors=eigenvectors, zero_mode_count=zero_modes
-    )
-    if connected is not None and zero_modes != 1:
-        error, cause = DisconnectedGraphError, "graph is disconnected"
-        if connected():
-            error = IllConditionedGraphError
-            cause = "graph is connected, but lambda_2 falls under the zero-mode resolution"
-        lam2 = float(eigenvalues[min(1, dec.n - 1)])
-        raise error(
-            f"expected exactly one zero mode, found {zero_modes}: {cause}"
-            f" (raw lambda_2 = {lam2:.3e}, lambda_max = {lam_max:.6g}; eigenvalues under"
-            f" ZERO_REL_TOL * max(1, lambda_max) = {tol:.3e} count as zero)"
+    zero_modes = int(np.count_nonzero(np.abs(eigenvalues) < tol))
+    if zero_modes != 1:
+        lam2 = float(eigenvalues[min(1, len(eigenvalues) - 1)])
+        raise IllConditionedGraphError(
+            f"expected exactly one zero mode, found {zero_modes}: graph is connected, but lambda_2"
+            f" falls under the zero-mode resolution (raw lambda_2 = {lam2:.3e}, lambda_max ="
+            f" {lam_max:.6g}; eigenvalues under ZERO_REL_TOL * max(1, lambda_max) = {tol:.3e}"
+            " count as zero)"
         )
-    return dec
+    eigenvalues[0] = 0.0
+    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def kernel(dec: SpectralDecomposition, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -138,7 +129,7 @@ def kernel(dec: SpectralDecomposition, g: Callable[[np.ndarray], np.ndarray]) ->
         if bad.any():
             lam = float(nz[np.argmax(bad)])
             raise SpectralError(f"kernel map is not finite at eigenvalue {lam:.6g}")
-        values[dec.zero_mode_count :] = mapped
+        values[1:] = mapped
     return values
 
 
@@ -167,13 +158,10 @@ def stability_margin(dec: SpectralDecomposition, tau: float) -> StabilityInfo:
     """Stability boundary ``tau_max = pi / (2 * lambda_max)`` and the margin at ``tau``.
 
     The boundary itself is excluded: a configuration counts as stable only
-    when ``tau < tau_max - STABILITY_SLACK`` (and the graph is connected).
+    when ``tau < tau_max - STABILITY_SLACK``; the one-node graph
+    (``lambda_max = 0``) is stable at every delay.
     """
     check_delay(tau)
-    if dec.zero_mode_count != 1:
-        raise DisconnectedGraphError(
-            f"stability is defined for connected graphs; found {dec.zero_mode_count} zero modes"
-        )
     lam_max = dec.lambda_max
     tau_max = math.pi / (2.0 * lam_max) if lam_max > 0 else math.inf
     margin = tau_max - tau

@@ -10,9 +10,18 @@ import pytest
 from delaycent import EMITTER, WeightedGraph, build_matrices, input_matrix, is_connected, node_centrality
 from delaycent import oracles, parse_edge_list, quadrature, simulate
 from delaycent.centrality import centrality_kernel
+from delaycent.cli import remap_node_ids
+from delaycent.graph import tokenize_edge_lines
 from delaycent.report import RANK_TOL_FACTOR
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def fixture_graph(name):
+    """The graph of ``fixtures/<name>.edges`` as the CLI reads it: sparse raw
+    ids (sparse9w) remapped onto a connected graph over 0..n-1."""
+    declared_n, records = tokenize_edge_lines((FIXTURES / f"{name}.edges").read_text())
+    return remap_node_ids(records, declared_n)[0]
 
 
 def graph_from_edges(n, pairs, weight=1.0):
@@ -156,7 +165,7 @@ def so_zero_delay_closed_form(gm, b):
     modal sum over the nonzero modes."""
     dec = gm.spectrum
     lam = dec.nonzero_eigenvalues()
-    q = dec.eigenvectors[:, dec.zero_mode_count :]
+    q = dec.eigenvectors[:, 1:]
     return (q**2) @ (1.0 / (2.0 * b * lam**2))
 
 
@@ -469,3 +478,24 @@ def ring_chord100():
 @pytest.fixture
 def ex1_graph():
     return build_matrices(parse_edge_list((FIXTURES / "ex1_8n20e.edges").read_text()))
+
+
+class _CountRuleScopes(_NameScopes):
+    """The dotted scope of every ordering comparison against ``<expr> - 1``."""
+
+    def visit_Compare(self, node):
+        ordering = not all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        if ordering and any(
+            isinstance(side, ast.BinOp) and isinstance(side.op, ast.Sub) and getattr(side.right, "value", None) == 1
+            for side in (node.left, *node.comparators)
+        ):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def count_rule_scopes(path):
+    """The dotted scope of every comparison such as ``m < n - 1`` in the
+    module at ``path``, in source order."""
+    visitor = _CountRuleScopes(set())
+    visitor.visit(ast.parse(Path(path).read_text()))
+    return visitor.found

@@ -38,7 +38,6 @@ from delaycent.centrality import centrality_kernel, centrality_report, noise_cha
 from delaycent.report import make_report
 
 from conftest import (
-    FIXTURES,
     assemble,
     complete_graph,
     cycle_graph,
@@ -47,6 +46,7 @@ from conftest import (
     dense_reference,
     edge_quadratic_form,
     emitter_display_diagnostic,
+    fixture_graph,
     mp_first_order_maps,
     name_scopes,
     random_connected_graph,
@@ -99,7 +99,7 @@ class TestInputMatrix:
 
     @pytest.mark.parametrize("name", ["k2", "p3", "c4", "s5", "ex1_8n20e", "sparse9w"])
     def test_comm_channel_equals_incidence_times_weight_diag(self, name):
-        g = parse_edge_list((FIXTURES / f"{name}.edges").read_text())
+        g = fixture_graph(name)
         ref = dense_reference(g)
         assert np.array_equal(
             input_matrix(build_matrices(g), COMM_CHANNEL), ref["incidence"] @ ref["weight_diag"]

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from delaycent import DYNAMICS, NoiseStructure, build_matrices, parse_edge_list, performance
-from delaycent.cli import run
+from delaycent.cli import remap_node_ids, run
+from delaycent.graph import tokenize_edge_lines
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -266,14 +267,30 @@ class TestExitCodes:
         assert run(["sensitivity", *base, "--structure", "dynamics"]) == 0
         assert json.loads(capsys.readouterr().out)["kappa"] == []
 
-    def test_disconnected_exit_3(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n2 3\n", "graph is disconnected (4 nodes, 2 edges)"),  # too few edges
+            ("0 1\n1 2\n0 2\n3 4\n3 5\n", "graph is disconnected (6 nodes, 5 edges)"),  # two components
+        ],
+        ids=["two-pairs", "triangle-and-path"],
+    )
+    def test_disconnected_exit_3(self, text, message, tmp_path):
         two = tmp_path / "two.edges"
-        two.write_text("0 1\n2 3\n")
-        code, _, err = invoke(
+        two.write_text(text)
+        code, out, err = invoke(
             "centrality", "--graph", str(two), "--structure", "dynamics", "--tau", "0"
         )
-        assert code == 3
-        assert "found 2: graph is disconnected (raw lambda_2 = " in err
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("edge", ["0 1", "5 9"], ids=["dense", "sparse"])
+    def test_header_its_edges_cannot_connect_exit_3(self, edge, tmp_path, capsys):
+        # Once a traceback (exit 1): free ids were padded up to the header's
+        # count with an 8 TiB array before the graph was built.
+        graph = tmp_path / "huge.edges"
+        graph.write_text(f"n={2**40}\n{edge}\n")
+        assert run(["stability", "--graph", str(graph), "--tau", "0.1"]) == 3
+        assert capsys.readouterr() == ("", "error: graph is disconnected (1099511627776 nodes, 1 edge)\n")
 
     def test_weakly_connected_exit_3_names_resolution(self, tmp_path):
         # Connected, but lambda_2 ~ 5e-11 falls under the zero-mode resolution.
@@ -321,16 +338,24 @@ class TestExitCodes:
         assert run(["centrality", "--graph", str(FIXTURES / "p3.edges"), *argv]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
-    def test_unwritable_idmap_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        (tmp_path / "report.json.idmap.json").mkdir()
-        code = run([
-            "centrality", "--graph", str(FIXTURES / "sparse9w.edges"), "--structure", "dynamics",
-            "--tau", "0", "--output", str(out),
-        ])
-        assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {out}.idmap.json: ")
-        assert not out.exists()
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["centrality", "--structure", "dynamics", "--tau", "0"], 0),
+            (["stability", "--tau", "0.1"], 0),
+            (["sweep-tau", "--structure", "dynamics", "--tau-grid", "0,9"], 3),  # past tau_max
+        ],
+        ids=["centrality", "stability", "refused"],
+    )
+    def test_sparse_ids_write_no_side_file(self, argv, code, tmp_path, capsys):
+        # The id map once went beside --output, or beside the graph without one.
+        graph = tmp_path / "sparse9w.edges"
+        graph.write_text((FIXTURES / "sparse9w.edges").read_text())
+        assert run([*argv, "--graph", str(graph)]) == code
+        assert run([*argv, "--graph", str(graph), "--output", str(tmp_path / "report.json")]) == code
+        names = ["report.json", "sparse9w.edges"] if code == 0 else ["sparse9w.edges"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert "note:" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["perf", "simulate"])
     @pytest.mark.parametrize(
@@ -448,7 +473,7 @@ class TestOneDecomposition:
 
 
 class TestRemapping:
-    def test_sparse_ids_remapped_with_side_file(self, tmp_path):
+    def test_sparse_ids_remapped_without_side_file(self, tmp_path):
         graph = tmp_path / "sparse.edges"
         graph.write_text("5 9 2.0\n")
         out_path = tmp_path / "report.json"
@@ -460,8 +485,7 @@ class TestRemapping:
         payload = json.loads(out_path.read_text())
         assert payload["ids"] == [5, 9]
         assert payload["ranking"] == [5, 9]
-        side = json.loads((tmp_path / "report.json.idmap.json").read_text())
-        assert side == {"5": 0, "9": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "sparse.edges"]
 
     def test_gap_ids_remapped(self, tmp_path):
         graph = tmp_path / "gap.edges"
@@ -472,8 +496,8 @@ class TestRemapping:
             "--tau", "0", "--output", str(out_path),
         ])
         assert code == 0
-        side = json.loads((tmp_path / "report.json.idmap.json").read_text())
-        assert side == {"0": 0, "2": 1, "3": 2}
+        assert json.loads(out_path.read_text())["ids"] == [0, 2, 3]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gap.edges", "report.json"]
 
     @pytest.mark.parametrize("low", [2**63, 2**70])
     def test_huge_ids_stay_exact(self, tmp_path, low):
@@ -550,18 +574,20 @@ class TestRemapping:
             graph.write_text(text)
             assert run(["stability", "--graph", str(graph), "--tau", "0.1"]) == 3
             errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1]
-        assert errors[0].startswith("error: expected exactly one zero mode, found 10: graph is disconnected")
+        assert errors == ["error: graph is disconnected (12 nodes, 2 edges)\n"] * 2
         assert not list(tmp_path.glob("*.idmap.json"))
 
     @pytest.mark.parametrize("low", [100, 2**63, 2**70])  # int64, uint64 and object raw ids
     def test_undeclared_nodes_take_the_smallest_free_ids(self, tmp_path, capsys, low):
+        text = f"n=4\n{low} {low + 100}\n{low + 100} {low + 200}\n"
         graph = tmp_path / "big.edges"
-        graph.write_text(f"n=4\n{low} {low + 100}\n{low + 100} {low + 200}\n")
+        graph.write_text(text)
         assert run(["stability", "--graph", str(graph), "--tau", "0.1"]) == 3
-        assert "found 2: graph is disconnected" in capsys.readouterr().err
-        side = json.loads((tmp_path / "big.edges.idmap.json").read_text())
-        assert side == {"0": 0, str(low): 1, str(low + 100): 2, str(low + 200): 3}
+        assert capsys.readouterr().err == "error: graph is disconnected (4 nodes, 2 edges)\n"
+        declared_n, records = tokenize_edge_lines(text)
+        remapped, id_map = remap_node_ids(records, declared_n)
+        assert id_map.original == [0, low, low + 100, low + 200]
+        assert remapped.n == 4 and remapped.edges == ((1, 2, 1.0), (2, 3, 1.0))
 
     def test_dense_ids_identity_no_side_file(self, tmp_path):
         out_path = tmp_path / "report.json"

@@ -11,6 +11,7 @@ from delaycent import (
     EMITTER,
     MEASUREMENT,
     RECEIVER,
+    DisconnectedGraphError,
     GraphError,
     GraphParseError,
     WeightedGraph,
@@ -23,9 +24,9 @@ from delaycent.cli import remap_node_ids
 from delaycent.graph import tokenize_edge_lines
 
 from conftest import (
-    FIXTURES,
     complete_graph,
     dense_reference,
+    fixture_graph,
     random_connected_graph,
     reference_input_matrix,
     ring_chord_graph,
@@ -129,6 +130,24 @@ class TestWeightedGraph:
         with pytest.raises(GraphParseError, match=rf"^line 3: node id {2**63} >= declared node count 3$"):
             parse_edge_list(f"n=3\n0 1\n1 {2**63}\n")
 
+    @pytest.mark.parametrize("big", [2**63, 2**64, 2**70])  # uint64, then object ids
+    def test_ids_past_intp_are_named(self, big):
+        # Once a bare OverflowError (and, from WeightedGraph, an id wrapped to a negative one).
+        with pytest.raises(GraphParseError) as exc:
+            parse_edge_list(f"0 1\n1 {big}\n")
+        assert str(exc.value) == f"line 2: node id {big} does not fit intp"
+        with pytest.raises(GraphError) as exc:
+            WeightedGraph(big + 1, [(0, 1, 1.0), (big, 1, 1.0)])
+        assert str(exc.value) == f"edge ({big}, 1): node id {big} does not fit intp"
+
+    def test_id_under_intp_makes_a_graph_refused_from_its_counts(self):
+        g = parse_edge_list(f"0 1\n1 {2**62}\n")
+        assert (g.n, g.num_edges) == (2**62 + 1, 2)
+        with pytest.raises(DisconnectedGraphError) as exc:  # once numpy's "array is too big"
+            build_matrices(g)
+        assert type(exc.value) is DisconnectedGraphError
+        assert str(exc.value) == f"graph is disconnected ({2**62 + 1} nodes, 2 edges)"
+
     def test_header_only_graph_is_edgeless(self):
         g = parse_edge_list("n=3\n")
         assert g.n == 3 and g.num_edges == 0
@@ -176,7 +195,7 @@ class TestBuildMatrices:
 
 def _reference_graphs():
     for name in FIXTURE_NAMES:
-        yield name, parse_edge_list((FIXTURES / f"{name}.edges").read_text())
+        yield name, fixture_graph(name)
     for n in (100, 300):
         for seed in (1, 2, 3):
             yield f"ring{n}-{seed}", ring_chord_graph(n, seed)
@@ -206,7 +225,7 @@ class TestArrayLayer:
             assert _same_bits(input_matrix(gm, structure), reference_input_matrix(g, structure.value)), structure.value
 
     @pytest.mark.parametrize(
-        "g", [complete_graph(6), ring_chord_graph(100, 4), WeightedGraph(n=3, edges=())]
+        "g", [complete_graph(6), ring_chord_graph(100, 4), WeightedGraph(n=1)]
     )
     def test_no_array_larger_than_n_squared(self, g):
         gm = build_matrices(g)

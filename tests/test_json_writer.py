@@ -18,9 +18,14 @@ from hypothesis.extra import numpy as hnp
 
 from delaycent import MEASUREMENT, build_matrices, tau_sweep
 from delaycent import cli
-from delaycent.cli import _to_json, run
+from delaycent.cli import _json_parts, run
 
 from conftest import name_scopes, ring_chord_graph, text_scopes
+
+
+def _to_json(obj) -> str:
+    """The whole report text that ``_emit`` writes piece by piece, less its last newline."""
+    return "".join(_json_parts(obj, "\n"))
 
 
 def _jsonable(obj):

@@ -1,17 +1,15 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 
 from delaycent import (
-    DisconnectedGraphError,
+    IllConditionedGraphError,
     SpectralError,
+    WeightedGraph,
     build_matrices,
     decompose,
-    is_connected,
     kernel,
-    parse_edge_list,
     stability_margin,
 )
 
@@ -22,16 +20,22 @@ class TestDecompose:
     def test_k2_eigenvalues(self, k2):
         dec = decompose(k2.laplacian)
         np.testing.assert_allclose(dec.eigenvalues, [0.0, 2.0], atol=1e-12)
-        assert dec.zero_mode_count == 1
+        assert dec.eigenvalues[0] == 0.0  # the one zero mode, clamped
 
     def test_p3_eigenvalues(self, p3):
         dec = decompose(p3.laplacian)
         np.testing.assert_allclose(dec.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_zero_matrix(self):
-        dec = decompose(np.zeros((3, 3)))
-        np.testing.assert_allclose(dec.eigenvalues, 0.0)
-        assert dec.zero_mode_count == 3
+        # Three zero modes: no connected graph's Laplacian, so lambda_2 is unresolved.
+        with pytest.raises(IllConditionedGraphError) as exc:
+            decompose(np.zeros((3, 3)))
+        assert type(exc.value) is IllConditionedGraphError
+        assert str(exc.value) == (
+            "expected exactly one zero mode, found 3: graph is connected, but lambda_2 falls under the"
+            " zero-mode resolution (raw lambda_2 = 0.000e+00, lambda_max = 0; eigenvalues under"
+            " ZERO_REL_TOL * max(1, lambda_max) = 1.000e-09 count as zero)"
+        )
 
     def test_orthonormal_and_reconstructs(self):
         rng = np.random.default_rng(4)
@@ -63,25 +67,18 @@ class TestDecompose:
         with pytest.raises(SpectralError, match=r"max asymmetry 1\.000e-09"):
             decompose(far)
 
-    @pytest.mark.parametrize("checked", [False, True])
-    def test_eigenvalues_only_matches_full(self, checked):
+    def test_eigenvalues_only_matches_full(self):
         rng = np.random.default_rng(12)
         gm = build_matrices(random_connected_graph(rng, 9))
-        connected = partial(is_connected, gm.graph) if checked else None
-        full = decompose(gm.laplacian, connected=connected)
-        values = decompose(gm.laplacian, vectors=False, connected=connected)
+        full = decompose(gm.laplacian)
+        values = decompose(gm.laplacian, vectors=False)
         assert values.eigenvectors is None
-        assert values.zero_mode_count == full.zero_mode_count == 1
+        assert values.eigenvalues[0] == full.eigenvalues[0] == 0.0
         np.testing.assert_allclose(values.eigenvalues, full.eigenvalues, rtol=1e-12, atol=1e-12)
 
     def test_rejects_indefinite(self):
         with pytest.raises(SpectralError, match="semidefinite"):
             decompose(np.diag([-1.0, 1.0]))
-
-    def test_require_connected_on_two_components(self):
-        gm = build_matrices(parse_edge_list("0 1\n2 3"))
-        with pytest.raises(DisconnectedGraphError):
-            decompose(gm.laplacian, connected=partial(is_connected, gm.graph))
 
     def test_scaling_preserves_eigenspaces(self):
         rng = np.random.default_rng(9)
@@ -205,10 +202,12 @@ class TestStabilityMargin:
         assert info.stable
         assert info.margin == pytest.approx(math.pi / 6 - 0.5, abs=1e-12)
 
-    def test_disconnected_rejected(self):
-        gm = build_matrices(parse_edge_list("0 1\n2 3"))
-        with pytest.raises(DisconnectedGraphError):
-            stability_margin(decompose(gm.laplacian), 0.1)
+    @pytest.mark.parametrize("route", ["spectrum", "eigenvalue_spectrum"])
+    def test_one_node_is_stable_at_every_delay(self, route):
+        dec = getattr(build_matrices(WeightedGraph(n=1)), route)
+        for tau in (0.0, 1.0, 1e300):
+            info = stability_margin(dec, tau)
+            assert (info.tau_max, info.margin, info.stable) == (math.inf, math.inf, True)
 
     @pytest.mark.parametrize("tau", [-0.1, math.nan, math.inf, -math.inf])
     def test_delay_must_be_finite_and_nonnegative(self, k2, tau):

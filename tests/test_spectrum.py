@@ -18,7 +18,9 @@ import pytest
 import delaycent as dc
 from delaycent.cli import run
 
-from conftest import FIXTURES, graph_from_edges, mc_node_centrality, name_scopes, ring_chord_graph
+from conftest import (
+    FIXTURES, count_rule_scopes, graph_from_edges, mc_node_centrality, name_scopes, ring_chord_graph,
+)
 
 SHORT = dict(dt=0.01, burn_in=0.1, horizon=0.1, n_traj=2, seed=7)
 FIXTURE_GRAPHS = ["k2", "p3", "triangle", "triangle_123", "c4", "star5", "path8",
@@ -99,7 +101,7 @@ class TestEigenvalueRoute:
 
     def test_eigenvalue_route_computes_no_vectors(self, p3, solves):
         values = p3.eigenvalue_spectrum
-        assert values.eigenvectors is None and values.zero_mode_count == 1
+        assert values.eigenvectors is None and values.eigenvalues[0] == 0.0
         assert p3.eigenvalue_spectrum is values
         np.testing.assert_allclose(values.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
         assert p3.spectrum.eigenvectors.shape == (3, 3)
@@ -132,8 +134,6 @@ def _raw_matrices(lap):
 @pytest.mark.parametrize(
     "make, error, text",
     [
-        (lambda: dc.build_matrices(graph_from_edges(4, [(0, 1), (2, 3)])), dc.DisconnectedGraphError,
-         "found 2: graph is disconnected (raw lambda_2 = "),
         (lambda: dc.build_matrices(dc.parse_edge_list("0 1 1\n1 2 1e-10\n2 3 1\n")),
          dc.IllConditionedGraphError,
          "found 2: graph is connected, but lambda_2 falls under the zero-mode resolution (raw lambda_2 = "),
@@ -142,7 +142,7 @@ def _raw_matrices(lap):
         (lambda: _raw_matrices([[1, -2, 0], [-2, 3, -1], [0, -1, 1]]), dc.SpectralError,
          "matrix is not positive semidefinite"),
     ],
-    ids=["disconnected", "weak", "asymmetric", "not-psd"],
+    ids=["weak", "asymmetric", "not-psd"],
 )
 def test_both_routes_raise_the_same_error(make, error, text, solves):
     caught = []
@@ -152,6 +152,24 @@ def test_both_routes_raise_the_same_error(make, error, text, solves):
         caught.append((type(exc.value), str(exc.value)))
     assert caught[0] == caught[1]
     assert caught[0][0] is error and text in caught[0][1]
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (graph_from_edges(4, [(0, 1), (2, 3)]), "graph is disconnected (4 nodes, 2 edges)"),  # m < n - 1
+        (graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5)]),  # is_connected
+         "graph is disconnected (6 nodes, 5 edges)"),
+        (dc.WeightedGraph(2**40, [(0, 1, 1.0)]), "graph is disconnected (1099511627776 nodes, 1 edge)"),
+    ],
+    ids=["two-pairs", "triangle-and-path", "n2**40"],
+)
+def test_disconnected_graph_is_refused_before_any_matrix(graph, message, solves):
+    # Refused from the edges, before the n x n Laplacian (8 EiB at n = 2**40) and any solve.
+    with pytest.raises(dc.DisconnectedGraphError) as exc:
+        dc.build_matrices(graph)
+    assert type(exc.value) is dc.DisconnectedGraphError and str(exc.value) == message
+    assert solves == []
 
 
 def test_laplacian_and_degrees_are_read_only(p3):
@@ -172,15 +190,15 @@ def test_graph_matrices_compare_and_hash_by_identity(solves):
     assert solves == ["eigh"]
 
 
-def test_disconnected_spectrum_raises_on_every_access(solves):
-    gm = dc.build_matrices(graph_from_edges(4, [(0, 1), (2, 3)]))
-    with pytest.raises(dc.DisconnectedGraphError) as direct:
-        dc.decompose(gm.laplacian, connected=lambda: dc.is_connected(gm.graph))
+def test_ill_conditioned_spectrum_raises_on_every_access(solves):
+    gm = dc.build_matrices(dc.parse_edge_list("0 1 1\n1 2 1e-10\n2 3 1\n"))
+    with pytest.raises(dc.IllConditionedGraphError) as direct:
+        dc.decompose(gm.laplacian)
     for _ in range(2):
         for route in ("spectrum", "eigenvalue_spectrum"):
-            with pytest.raises(dc.DisconnectedGraphError) as exc:
+            with pytest.raises(dc.IllConditionedGraphError) as exc:
                 getattr(gm, route)
-            assert str(exc.value) == str(direct.value)
+            assert type(exc.value) is dc.IllConditionedGraphError and str(exc.value) == str(direct.value)
     assert solves == ["eigh", "eigh", "eigvalsh", "eigh", "eigvalsh"]  # a failed one is not kept
 
 
@@ -191,12 +209,20 @@ def _uses(names):
 
 
 def test_only_graph_matrices_spectrum_decomposes():
-    # Both routes, with and without eigenvectors, share one solve site.
-    assert _uses(["decompose"]) == ["graph.py:GraphMatrices._decompose"]
-    assert _uses(["_decompose"]) == [
+    # Both routes, with and without eigenvectors, are the package's only solves.
+    assert _uses(["decompose"]) == [
         "graph.py:GraphMatrices.spectrum",
         "graph.py:GraphMatrices.eigenvalue_spectrum",
     ]
+
+
+def test_connectivity_is_decided_in_one_function():
+    # is_connected and the m < n - 1 count rule serve require_connected alone,
+    # which build_matrices and the CLI's header check call.
+    assert _uses(["is_connected"]) == ["graph.py:require_connected"]
+    paths = sorted(Path(dc.__file__).parent.glob("*.py"))
+    assert [f"{p.name}:{s}" for p in paths for s in count_rule_scopes(p)] == ["graph.py:require_connected"]
+    assert _uses(["require_connected"]) == ["cli.py:_load_graph", "graph.py:build_matrices"]
 
 
 def test_eigensolvers_are_called_only_in_decompose():
